@@ -1,5 +1,6 @@
 #include "core/bipartite_counting.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "runtime/engine.hpp"
@@ -26,31 +27,56 @@ using CountNet = SyncNetwork<CountMessage, CountBits>;
 
 }  // namespace
 
-CountingResult count_augmenting_paths(const Graph& g,
-                                      const std::vector<std::uint8_t>& side,
-                                      const Matching& m, int max_len,
-                                      const std::vector<char>& active_edges,
-                                      ThreadPool* pool, unsigned shards) {
-  const NodeId n = g.num_nodes();
-  if (side.size() != n) {
+struct PathCounter::Net : CountNet {
+  using CountNet::CountNet;
+};
+
+PathCounter::PathCounter(const Graph& g, const std::vector<std::uint8_t>& side,
+                         ThreadPool* pool, unsigned shards)
+    : g_(&g), side_(&side) {
+  if (side.size() != g.num_nodes()) {
     throw std::invalid_argument("count_augmenting_paths: side size");
   }
+  net_ = std::make_unique<Net>(g, /*seed=*/0, CountBits{});
+  net_->set_thread_pool(pool);
+  net_->set_shards(shards);
+  out_.depth.resize(g.num_nodes());
+  out_.total.resize(g.num_nodes());
+  out_.endpoint.resize(g.num_nodes());
+}
+
+PathCounter::~PathCounter() = default;
+
+bool PathCounter::forwards(NodeId u, EdgeId e) const {
+  if (!active_->empty() && !(*active_)[e]) return false;
+  const EdgeId mate_edge = m_->matched_edge(u);
+  return (*side_)[u] == 0 ? e != mate_edge : e == mate_edge;
+}
+
+const BigCounter* PathCounter::arrival(NodeId v, std::size_t i) const {
+  const std::uint32_t d = out_.depth[v];
+  if (d == kUnreached || d == 0) return nullptr;
+  const Incidence inc = g_->neighbors(v)[i];
+  if (out_.depth[inc.to] != d - 1 || !forwards(inc.to, inc.edge)) {
+    return nullptr;
+  }
+  return &out_.total[inc.to];
+}
+
+const CountingResult& PathCounter::run(const Matching& m, int max_len,
+                                       const std::vector<char>& active_edges) {
   if (max_len < 1 || max_len % 2 == 0) {
     throw std::invalid_argument("count_augmenting_paths: max_len must be odd");
   }
-  auto active = [&](EdgeId e) {
-    return active_edges.empty() || active_edges[e];
-  };
-
-  CountingResult out;
-  out.depth.assign(n, kUnreached);
-  out.counts.assign(n, {});
-  out.total.assign(n, BigCounter{});
-  out.endpoint.assign(n, 0);
-
-  CountNet net(g, /*seed=*/0, CountBits{});
-  net.set_thread_pool(pool);
-  net.set_shards(shards);
+  m_ = &m;
+  active_ = &active_edges;
+  std::fill(out_.depth.begin(), out_.depth.end(), kUnreached);
+  for (BigCounter& t : out_.total) t = BigCounter{};
+  std::fill(out_.endpoint.begin(), out_.endpoint.end(), 0);
+  CountNet& net = *net_;
+  net.reset(/*seed=*/0);
+  const std::vector<std::uint8_t>& side = *side_;
+  CountingResult& out = out_;
 
   // The BFS is message-driven: free X nodes launch in round 0 (everyone
   // is stepped by the initial-activation default, non-sources return
@@ -59,7 +85,6 @@ CountingResult count_augmenting_paths(const Graph& g,
   // instead of O(n * l + m * l).
   auto step = [&](CountNet::Ctx& ctx) {
     const NodeId v = ctx.id();
-    const auto nbrs = ctx.graph().neighbors(v);
     const std::uint64_t round = ctx.round();
     const bool is_x = side[v] == 0;
     const bool free = m.is_free(v);
@@ -69,11 +94,9 @@ CountingResult count_augmenting_paths(const Graph& g,
       if (is_x && free) {
         out.depth[v] = 0;
         out.total[v] = BigCounter(1);
-        if (max_len >= 1) {
-          for (const auto& inc : nbrs) {
-            if (active(inc.edge)) {
-              ctx.send(inc.edge, CountMessage{BigCounter(1)});
-            }
+        for (const auto& inc : ctx.graph().neighbors(v)) {
+          if (forwards(v, inc.edge)) {
+            ctx.send(inc.edge, CountMessage{BigCounter(1)});
           }
         }
       }
@@ -83,46 +106,35 @@ CountingResult count_augmenting_paths(const Graph& g,
     if (out.depth[v] != kUnreached) return;  // visited: discard arrivals
     bool any = false;
     for (const auto& in : ctx.inbox()) {
-      if (!active(in.edge)) continue;
-      if (!any) {
-        any = true;
-        out.depth[v] = static_cast<std::uint32_t>(round);
-        out.counts[v].assign(nbrs.size(), BigCounter{});
-      }
-      // The inbox slot IS the incidence position: accumulate directly.
-      out.counts[v][in.slot] = in.payload->count;
+      if (!active_edges.empty() && !active_edges[in.edge]) continue;
+      any = true;
       out.total[v] += in.payload->count;
     }
     if (!any) return;
+    out.depth[v] = static_cast<std::uint32_t>(round);
 
-    const bool may_send = round + 1 <= static_cast<std::uint64_t>(max_len);
+    // Structural sanity: Y arrivals happen at odd rounds, X at even.
+    if (is_x == (round % 2 != 0)) {
+      throw std::logic_error(is_x ? "counting: X node reached at odd depth"
+                                  : "counting: Y node reached at even depth");
+    }
+    if (!is_x && free) {
+      out.endpoint[v] = 1;  // terminal: paths of length `round` end here
+      return;
+    }
+    if (round + 1 > static_cast<std::uint64_t>(max_len)) return;
+    // Matched Y forwards n_v to its mate; matched X (free X have depth 0,
+    // so it arrived via its mate) to its unmatched neighbors.
     if (!is_x) {
-      // Y node: structural sanity — Y arrivals happen at odd rounds.
-      if (round % 2 == 0) {
-        throw std::logic_error("counting: Y node reached at even depth");
+      const EdgeId mate_edge = m.matched_edge(v);
+      if (forwards(v, mate_edge)) {
+        ctx.send(mate_edge, CountMessage{out.total[v]});
       }
-      if (free) {
-        out.endpoint[v] = 1;  // terminal: paths of length `round` end here
-        return;
-      }
-      if (may_send) {
-        const EdgeId mate_edge = m.matched_edge(v);
-        if (active(mate_edge)) {
-          ctx.send(mate_edge, CountMessage{out.total[v]});
-        }
-      }
-    } else {
-      // Matched X node (free X have depth 0): arrives via its mate.
-      if (round % 2 != 0) {
-        throw std::logic_error("counting: X node reached at odd depth");
-      }
-      if (may_send) {
-        const EdgeId mate_edge = m.matched_edge(v);
-        for (const auto& inc : nbrs) {
-          if (inc.edge != mate_edge && active(inc.edge)) {
-            ctx.send(inc.edge, CountMessage{out.total[v]});
-          }
-        }
+      return;
+    }
+    for (const auto& inc : ctx.graph().neighbors(v)) {
+      if (forwards(v, inc.edge)) {
+        ctx.send(inc.edge, CountMessage{out.total[v]});
       }
     }
   };
@@ -131,6 +143,16 @@ CountingResult count_augmenting_paths(const Graph& g,
   for (int r = 0; r <= max_len; ++r) net.run_round(step);
   out.stats = net.stats();
   return out;
+}
+
+CountingResult count_augmenting_paths(const Graph& g,
+                                      const std::vector<std::uint8_t>& side,
+                                      const Matching& m, int max_len,
+                                      const std::vector<char>& active_edges,
+                                      ThreadPool* pool, unsigned shards) {
+  PathCounter counter(g, side, pool, shards);
+  counter.run(m, max_len, active_edges);
+  return counter.take_result();
 }
 
 namespace {

@@ -15,6 +15,7 @@
 // chunked width the paper's pipeline would use.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "graph/matching.hpp"
@@ -30,9 +31,8 @@ struct CountingResult {
   /// d(v): the round of first arrival (free X nodes have 0); kUnreached
   /// if the BFS never reached the node within max_len rounds.
   std::vector<std::uint32_t> depth;
-  /// counts[v][i] aligned with g.neighbors(v): paths arriving on edge i.
-  std::vector<std::vector<BigCounter>> counts;
-  /// n_v = sum over i of counts[v][i].
+  /// n_v: the number of shortest augmenting-path prefixes ending at v
+  /// (the sum of the counts that arrived in v's first-arrival round).
   std::vector<BigCounter> total;
   /// endpoint[v] == 1 iff v is a free Y node the BFS reached: each such
   /// node terminates n_v augmenting paths of length depth[v].
@@ -42,11 +42,55 @@ struct CountingResult {
   bool is_path_endpoint(NodeId v) const { return endpoint[v] != 0; }
 };
 
-/// Run the counting BFS for paths of length <= max_len (odd). `side`
-/// 2-colors the active subgraph (side 0 = X); `active_edges` restricts
-/// to a logical subgraph (empty = all edges). `m` is the current
-/// matching; matched edges outside the active set must not exist between
-/// two active-incident nodes (Algorithm 4 guarantees this for Ĝ).
+/// Algorithm 3 on one graph, re-runnable: the count network and the
+/// result columns are built once and reused by every run(), so the
+/// O(log n) counting passes of one Aug call allocate nothing once warm.
+///
+/// The per-edge counts c_v[i] are not stored. What v receives on its
+/// i-th incidence in its first-arrival round is exactly n_u of the
+/// sender u one layer below (X nodes send on every active unmatched
+/// edge, matched Y nodes on their matched edge), so arrival() reads it
+/// back from the frozen result instead of keeping a per-arc copy.
+class PathCounter {
+ public:
+  /// `side` 2-colors the active subgraph (side 0 = X); it and `g` must
+  /// outlive the counter.
+  PathCounter(const Graph& g, const std::vector<std::uint8_t>& side,
+              ThreadPool* pool = nullptr, unsigned shards = 0);
+  ~PathCounter();  // out of line: Net is incomplete here
+
+  /// Run the counting BFS for paths of length <= max_len (odd) against
+  /// matching `m`; `active_edges` restricts to a logical subgraph (empty
+  /// = all edges). `m` and `active_edges` must stay unchanged while the
+  /// result and arrival() are used. Matched edges outside the active
+  /// set must not exist between two active-incident nodes (Algorithm 4
+  /// guarantees this for Ĝ).
+  const CountingResult& run(const Matching& m, int max_len,
+                            const std::vector<char>& active_edges);
+
+  const CountingResult& result() const { return out_; }
+  /// Moves the last run's result out (the counter must be run again
+  /// before its result is read).
+  CountingResult take_result() { return std::move(out_); }
+
+  /// c_v[i] of the last run: the count that arrived on v's i-th
+  /// incidence in v's first-arrival round, or nullptr if none did.
+  const BigCounter* arrival(NodeId v, std::size_t i) const;
+
+ private:
+  /// True iff a node u reached by the BFS forwards its count along e.
+  bool forwards(NodeId u, EdgeId e) const;
+
+  struct Net;
+  const Graph* g_;
+  const std::vector<std::uint8_t>* side_;
+  const Matching* m_ = nullptr;
+  const std::vector<char>* active_ = nullptr;
+  std::unique_ptr<Net> net_;
+  CountingResult out_;
+};
+
+/// One counting pass (a fresh PathCounter run once); see PathCounter.
 CountingResult count_augmenting_paths(const Graph& g,
                                       const std::vector<std::uint8_t>& side,
                                       const Matching& m, int max_len,

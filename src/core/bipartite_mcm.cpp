@@ -43,14 +43,15 @@ double draw_winner_value(const BigCounter& n, Rng& rng) {
   return std::log(-std::log(u)) - ln_n;
 }
 
-/// Sample an incidence slot with probability counts[i] / total.
-std::size_t sample_slot(const std::vector<BigCounter>& counts,
-                        const BigCounter& total, Rng& rng) {
-  BigCounter r = BigCounter::sample_below(total, rng);
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i].is_zero()) continue;
-    if (r < counts[i]) return i;
-    r -= counts[i];
+/// Sample an incidence slot of v with probability c_v[i] / n_v.
+std::size_t sample_slot(const PathCounter& counter, NodeId v,
+                        std::size_t degree, Rng& rng) {
+  BigCounter r = BigCounter::sample_below(counter.result().total[v], rng);
+  for (std::size_t i = 0; i < degree; ++i) {
+    const BigCounter* c = counter.arrival(v, i);
+    if (c == nullptr) continue;
+    if (r < *c) return i;
+    r -= *c;
   }
   throw std::logic_error("sample_slot: counts do not sum to total");
 }
@@ -91,12 +92,119 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
 
   AugResult result;
   const int l = max_len;
+  const std::uint64_t token_rounds = static_cast<std::uint64_t>(l);
+  const std::uint64_t traceback_start = token_rounds + 1;
+
+  // One count network, one token network and one set of per-node
+  // columns for the whole call: every iteration resets them instead of
+  // rebuilding (the graph never changes, only the matching does).
+  PathCounter counter(g, side, opts.pool, opts.shards);
+  const CountingResult& counting = counter.result();
+  TokenNet net(g, /*seed=*/0, TokenBits{id_bits});
+  net.set_thread_pool(opts.pool);
+  net.set_shards(opts.shards);
+  std::vector<TokenState> tok(n);
+  std::vector<char> flipped(n, 0);
+  std::vector<EdgeId> new_match_edge(n, kInvalidEdge);
+  std::vector<std::vector<NodeId>> cohorts(token_rounds + 1);
+  std::vector<EdgeId> toggles;
+  std::vector<EdgeId> unique_toggles;
+
+  // Active-set contract: depth-d nodes act spontaneously only at token
+  // round l - d, so the driver loop below activates each depth cohort
+  // at exactly that round; everything else is message-driven (tokens
+  // arrive at a node in its action round, confirms walk back up), and
+  // the depth-0 winners keep themselves alive across the one-round gap
+  // between receiving the token and launching the traceback.
+  auto step = [&](TokenNet::Ctx& ctx) {
+    const NodeId v = ctx.id();
+    const std::uint64_t round = ctx.round();
+    const std::uint32_t d = counting.depth[v];
+
+    if (round <= token_rounds) {
+      // Token phase. Nodes at depth d act at round l - d: leaders
+      // launch, interior nodes resolve arrivals and forward.
+      if (d == kUnreached ||
+          round != token_rounds - static_cast<std::uint64_t>(d)) {
+        return;
+      }
+      const bool is_leader = counting.is_path_endpoint(v);
+      double best_value = std::numeric_limits<double>::infinity();
+      NodeId best_leader = kInvalidNode;
+      EdgeId best_edge = kInvalidEdge;
+      if (is_leader) {
+        best_value = draw_winner_value(counting.total[v], ctx.rng());
+        best_leader = v;
+      } else {
+        for (const auto& in : ctx.inbox()) {
+          if (in.payload->type != TokType::kToken) continue;
+          const double val = in.payload->value;
+          const NodeId led = in.payload->leader;
+          if (val < best_value || (val == best_value && led < best_leader)) {
+            best_value = val;
+            best_leader = led;
+            best_edge = in.edge;
+          }
+        }
+        if (best_leader == kInvalidNode) return;  // no token reached v
+      }
+      tok[v].arrival_edge = best_edge;
+      if (d == 0) {
+        // Free X endpoint: the token wins; traceback starts next phase.
+        tok[v].forwarded = true;  // marks "winning endpoint"
+        tok[v].forwarded_leader = best_leader;
+        ctx.keep_active();  // flips + confirms at traceback_start
+        return;
+      }
+      // Choose the backward edge: Y samples by counts, X follows its
+      // matched edge (which is exactly the single counted slot).
+      const auto nbrs = ctx.graph().neighbors(v);
+      const std::size_t slot = sample_slot(counter, v, nbrs.size(), ctx.rng());
+      const EdgeId fwd = nbrs[slot].edge;
+      tok[v].forwarded = true;
+      tok[v].forwarded_leader = best_leader;
+      tok[v].forward_edge = fwd;
+      ctx.send(fwd, TokenMessage{TokType::kToken, best_value, best_leader});
+      return;
+    }
+
+    // Traceback phase: round traceback_start + t handles depth-t nodes.
+    if (d == kUnreached) return;
+    const std::uint64_t my_round = traceback_start + d;
+    if (round != my_round) return;
+    if (d == 0) {
+      // Winning free X endpoint: flip and send confirm up its trail.
+      if (!tok[v].forwarded) return;
+      flipped[v] = 1;
+      new_match_edge[v] = tok[v].arrival_edge;
+      ctx.send(tok[v].arrival_edge,
+               TokenMessage{TokType::kConfirm, 0.0, tok[v].forwarded_leader});
+      return;
+    }
+    // Interior/leader node: accept a confirm only for the token we
+    // actually forwarded, arriving back on our forward edge.
+    for (const auto& in : ctx.inbox()) {
+      if (in.payload->type != TokType::kConfirm) continue;
+      if (!tok[v].forwarded || in.payload->leader != tok[v].forwarded_leader ||
+          in.edge != tok[v].forward_edge) {
+        continue;
+      }
+      flipped[v] = 1;
+      // New matched edge: towards lower depth for odd-depth (Y) nodes,
+      // towards higher depth for even-depth (X) nodes.
+      new_match_edge[v] =
+          (d % 2 == 1) ? tok[v].forward_edge : tok[v].arrival_edge;
+      if (tok[v].arrival_edge != kInvalidEdge) {
+        ctx.send(tok[v].arrival_edge,
+                 TokenMessage{TokType::kConfirm, 0.0, in.payload->leader});
+      }
+      break;
+    }
+  };
 
   for (std::uint64_t iter = 0; iter < max_iterations; ++iter) {
     // --- Phase 1: Algorithm 3 counting. ---
-    CountingResult counting =
-        count_augmenting_paths(g, side, m, l, active_edges, opts.pool,
-                               opts.shards);
+    counter.run(m, l, active_edges);
     result.stats.merge(counting.stats);
     ++result.iterations;
 
@@ -109,121 +217,19 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
     }
 
     // --- Phase 2: token selection + traceback (Lemma 3.7). ---
-    std::vector<TokenState> tok(n);
-    std::vector<char> flipped(n, 0);
-    std::vector<EdgeId> new_match_edge(n, kInvalidEdge);
-
-    TokenNet net(g, splitmix64(opts.seed ^ (iter * 0x9e3779b97f4a7c15ULL)),
-                 TokenBits{id_bits});
-    net.set_thread_pool(opts.pool);
-    net.set_shards(opts.shards);
-
-    const std::uint64_t token_rounds = static_cast<std::uint64_t>(l);
-    const std::uint64_t traceback_start = token_rounds + 1;
-
-    // Active-set contract: depth-d nodes act spontaneously only at token
-    // round l - d, so the driver loop below activates each depth cohort
-    // at exactly that round; everything else is message-driven (tokens
-    // arrive at a node in its action round, confirms walk back up), and
-    // the depth-0 winners keep themselves alive across the one-round gap
-    // between receiving the token and launching the traceback.
-    auto step = [&](TokenNet::Ctx& ctx) {
-      const NodeId v = ctx.id();
-      const std::uint64_t round = ctx.round();
-      const std::uint32_t d = counting.depth[v];
-
-      if (round <= token_rounds) {
-        // Token phase. Nodes at depth d act at round l - d: leaders
-        // launch, interior nodes resolve arrivals and forward.
-        if (d == kUnreached ||
-            round != token_rounds - static_cast<std::uint64_t>(d)) {
-          return;
-        }
-        const bool is_leader = counting.is_path_endpoint(v);
-        double best_value = std::numeric_limits<double>::infinity();
-        NodeId best_leader = kInvalidNode;
-        EdgeId best_edge = kInvalidEdge;
-        if (is_leader) {
-          best_value = draw_winner_value(counting.total[v], ctx.rng());
-          best_leader = v;
-        } else {
-          for (const auto& in : ctx.inbox()) {
-            if (in.payload->type != TokType::kToken) continue;
-            const double val = in.payload->value;
-            const NodeId led = in.payload->leader;
-            if (val < best_value ||
-                (val == best_value && led < best_leader)) {
-              best_value = val;
-              best_leader = led;
-              best_edge = in.edge;
-            }
-          }
-          if (best_leader == kInvalidNode) return;  // no token reached v
-        }
-        tok[v].arrival_edge = best_edge;
-        if (d == 0) {
-          // Free X endpoint: the token wins; traceback starts next phase.
-          tok[v].forwarded = true;  // marks "winning endpoint"
-          tok[v].forwarded_leader = best_leader;
-          ctx.keep_active();  // flips + confirms at traceback_start
-          return;
-        }
-        // Choose the backward edge: Y samples by counts, X follows its
-        // matched edge (which is exactly the single counted slot).
-        const auto nbrs = ctx.graph().neighbors(v);
-        const std::size_t slot =
-            sample_slot(counting.counts[v], counting.total[v], ctx.rng());
-        const EdgeId fwd = nbrs[slot].edge;
-        tok[v].forwarded = true;
-        tok[v].forwarded_leader = best_leader;
-        tok[v].forward_edge = fwd;
-        ctx.send(fwd, TokenMessage{TokType::kToken, best_value, best_leader});
-        return;
-      }
-
-      // Traceback phase: round traceback_start + t handles depth-t nodes.
-      if (d == kUnreached) return;
-      const std::uint64_t my_round = traceback_start + d;
-      if (round != my_round) return;
-      if (d == 0) {
-        // Winning free X endpoint: flip and send confirm up its trail.
-        if (!tok[v].forwarded) return;
-        flipped[v] = 1;
-        new_match_edge[v] = tok[v].arrival_edge;
-        ctx.send(tok[v].arrival_edge,
-                 TokenMessage{TokType::kConfirm, 0.0, tok[v].forwarded_leader});
-        return;
-      }
-      // Interior/leader node: accept a confirm only for the token we
-      // actually forwarded, arriving back on our forward edge.
-      for (const auto& in : ctx.inbox()) {
-        if (in.payload->type != TokType::kConfirm) continue;
-        if (!tok[v].forwarded || in.payload->leader != tok[v].forwarded_leader ||
-            in.edge != tok[v].forward_edge) {
-          continue;
-        }
-        flipped[v] = 1;
-        // New matched edge: towards lower depth for odd-depth (Y) nodes,
-        // towards higher depth for even-depth (X) nodes.
-        new_match_edge[v] =
-            (d % 2 == 1) ? tok[v].forward_edge : tok[v].arrival_edge;
-        if (tok[v].arrival_edge != kInvalidEdge) {
-          ctx.send(tok[v].arrival_edge,
-                   TokenMessage{TokType::kConfirm, 0.0, in.payload->leader});
-        }
-        break;
-      }
-    };
-
     // Bucket reached nodes by action round l - depth for cohort
     // activation (cost: one pass over reached nodes per iteration).
-    std::vector<std::vector<NodeId>> cohorts(token_rounds + 1);
+    for (std::vector<NodeId>& c : cohorts) c.clear();
     for (NodeId v = 0; v < n; ++v) {
       const std::uint32_t d = counting.depth[v];
       if (d != kUnreached && d <= token_rounds) {
         cohorts[token_rounds - d].push_back(v);
       }
     }
+    std::fill(tok.begin(), tok.end(), TokenState{});
+    std::fill(flipped.begin(), flipped.end(), 0);
+    std::fill(new_match_edge.begin(), new_match_edge.end(), kInvalidEdge);
+    net.reset(splitmix64(opts.seed ^ (iter * 0x9e3779b97f4a7c15ULL)));
     net.restrict_initial_active();
     // Token rounds 0..l, traceback rounds l+1..2l+1.
     const std::uint64_t total_rounds = traceback_start + token_rounds + 1;
@@ -239,14 +245,14 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
     // Every path edge is reported by both of its endpoints (old matched
     // edges by both interior endpoints; new edges by both nodes pairing
     // up), so each toggled edge appears exactly twice.
-    std::vector<EdgeId> toggles;
+    toggles.clear();
     for (NodeId v = 0; v < n; ++v) {
       if (!flipped[v]) continue;
       if (!m.is_free(v)) toggles.push_back(m.matched_edge(v));
       toggles.push_back(new_match_edge[v]);
     }
     std::sort(toggles.begin(), toggles.end());
-    std::vector<EdgeId> unique_toggles;
+    unique_toggles.clear();
     for (std::size_t i = 0; i < toggles.size();) {
       std::size_t j = i;
       while (j < toggles.size() && toggles[j] == toggles[i]) ++j;

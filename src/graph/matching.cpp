@@ -1,6 +1,7 @@
 #include "graph/matching.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -46,20 +47,18 @@ void Matching::remove(const Graph& g, EdgeId e) {
 
 void Matching::symmetric_difference(const Graph& g,
                                     const std::vector<EdgeId>& s) {
-  std::unordered_set<EdgeId> toggles(s.begin(), s.end());
-  if (toggles.size() != s.size()) {
+  std::vector<EdgeId> toggles(s);
+  std::sort(toggles.begin(), toggles.end());
+  if (std::adjacent_find(toggles.begin(), toggles.end()) != toggles.end()) {
     throw std::invalid_argument("symmetric_difference: duplicate edges in P");
   }
+  // Both lists are sorted: the edges in exactly one of them survive.
+  const std::vector<EdgeId> matched = edge_ids(g);
   std::vector<EdgeId> result;
-  result.reserve(size_ + toggles.size());
-  for (EdgeId e : edge_ids(g)) {
-    if (auto it = toggles.find(e); it != toggles.end()) {
-      toggles.erase(it);  // in both: drops out
-    } else {
-      result.push_back(e);
-    }
-  }
-  result.insert(result.end(), toggles.begin(), toggles.end());
+  result.reserve(matched.size() + toggles.size());
+  std::set_symmetric_difference(matched.begin(), matched.end(),
+                                toggles.begin(), toggles.end(),
+                                std::back_inserter(result));
   *this = from_edges(g, result);  // validates disjointness
 }
 

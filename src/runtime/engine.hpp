@@ -106,6 +106,10 @@ struct DefaultBitMeter {
   }
 };
 
+/// Defined by the engine tests only: reaches the epoch base, so the
+/// stamp re-fill at the 2^32 wrap is testable without 2^32 rounds.
+struct SyncNetworkTestAccess;
+
 template <typename M, typename Meter = std::function<std::uint64_t(const M&)>>
 class SyncNetwork {
  public:
@@ -238,18 +242,18 @@ class SyncNetwork {
   };
 
   SyncNetwork(const Graph& g, std::uint64_t seed, Meter meter = Meter{})
-      : graph_(&g),
-        seed_(seed),
-        meter_(std::move(meter)),
-        plan_(plan_shards(g.num_nodes(), /*requested=*/0)),
-        arc_meta_(2 * static_cast<std::size_t>(g.num_edges()),
-                  ArcMeta{kNeverEpoch, 0}),
-        inbox_meta_(g.num_nodes(), InboxMeta{kNeverEpoch, 0, 0, 0}),
-        active_stamp_(g.num_nodes(), kNeverEpoch),
-        shard_active_(plan_.count) {
+      : graph_(&g), seed_(seed), meter_(std::move(meter)) {
     if constexpr (std::is_same_v<Meter, BitMeter>) {
       if (!meter_) meter_ = DefaultBitMeter<M>{};
     }
+    const std::uint64_t t0 = setup_span_start();
+    const NodeId n = g.num_nodes();
+    plan_ = plan_shards(n, /*requested=*/0);
+    shard_active_.resize(plan_.count);
+    arc_meta_.assign(2 * static_cast<std::size_t>(g.num_edges()),
+                     ArcMeta{kNeverEpoch, 0});
+    inbox_meta_.assign(n, InboxMeta{kNeverEpoch, 0, 0, 0});
+    active_stamp_.assign(n, kNeverEpoch);
     // Directed channels are indexed by CSR *arc*: the channel on which v
     // sends along its i-th incidence is arc offsets[v] + i. Senders then
     // stamp and read channel state at positions inside their own row —
@@ -259,19 +263,57 @@ class SyncNetwork {
     // incidence position: the canonical inbox sort key); it shares a
     // cache line with the channel's send stamp, so the send path reads
     // one per-arc location, not two.
+    //
+    // Rows are sorted by neighbor id and simple (GraphStore rejects
+    // self-loops and parallel edges), so walking senders in ascending id
+    // order meets each receiver's neighbors in that receiver's row order:
+    // one cursor per receiver gives every slot in a single linear pass.
+    // The receivers' inbox counts serve as the cursors; they are dead
+    // until a round stamps the receiver, which zeroes them.
     const GraphStore& s = g.store();
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const std::uint64_t base = s.offsets[v];
-      const std::uint64_t end = s.offsets[v + 1];
-      for (std::uint64_t a = base; a < end; ++a) {
-        const NodeId to = s.adj_to[a];
-        // Position of v in to's (sorted) row, by binary search.
-        const NodeId* row = s.adj_to.data() + s.offsets[to];
-        const NodeId* hit =
-            std::lower_bound(row, s.adj_to.data() + s.offsets[to + 1], v);
-        arc_meta_[a].slot = static_cast<std::uint32_t>(hit - row);
+    for (NodeId v = 0; v < n; ++v) {
+      for (std::uint64_t a = s.offsets[v]; a < s.offsets[v + 1]; ++a) {
+        arc_meta_[a].slot = inbox_meta_[s.adj_to[a]].cnt++;
       }
     }
+    setup_span_end(t0, /*is_reset=*/false);
+  }
+
+  /// Restart the network at round 0 under `seed`, as if freshly
+  /// constructed on the same graph, keeping every allocation (arc and
+  /// inbox metadata, delivery columns, worker buffers). Everything a
+  /// run leaves behind is dropped: staged sends, delayed and duplicate
+  /// fault records, pending activations, stats, and the per-run
+  /// step_all_nodes() / restrict_initial_active() flags. The thread
+  /// pool, shard plan and fault injector stay attached. Stamps are not
+  /// touched: the epoch base moves past every stamp the run wrote.
+  void reset(std::uint64_t seed) {
+    const std::uint64_t t0 = setup_span_start();
+    epoch_base_ = epoch();  // past the last round's stamps
+    seed_ = seed;
+    round_ = 0;
+    for (PerWorker& w : workers_) {
+      w.send_to.clear();
+      w.send_key.clear();
+      w.send_seq.clear();
+      w.send_msg.clear();
+      w.wake.clear();
+      w.stats = NetStats{};
+      w.busy_ns = 0;
+    }
+    pending_activations_.clear();
+    step_all_ = false;
+    initial_restricted_ = false;
+#if LPS_FAULTS
+    delayed_.clear();
+    dup_buf_.clear();
+#endif
+    pending_ = 0;
+    delivered_last_round_ = 0;
+    delivered_total_ = 0;
+    stepped_last_round_ = 0;
+    stats_ = NetStats{};
+    setup_span_end(t0, /*is_reset=*/true);
   }
 
   /// Optional: step nodes with a thread pool (nullptr = sequential).
@@ -349,6 +391,7 @@ class SyncNetwork {
   void run_round(Step&& step) {
     const Graph& g = *graph_;
     ensure_workers();
+    if (epoch() == kNeverEpoch) rebase_epochs();
     ++stats_.rounds;
 
     // Telemetry gates, resolved once per round: two relaxed loads when
@@ -497,15 +540,43 @@ class SyncNetwork {
   }
 
  private:
-  // Round stamps in the hot bookkeeping are 32-bit epochs: the low word
-  // of round_. kNeverEpoch doubles as "never touched"; a live stamp
-  // could only alias it in round 2^32 - 1 (decades of rounds at any
-  // realistic rate), accepted in exchange for halving the stamp
-  // footprint in the per-arc and per-receiver metadata.
+  friend struct SyncNetworkTestAccess;
+
+  // Round stamps in the hot bookkeeping are 32-bit epochs, base + round
+  // (mod 2^32); reset() moves the base past the finished run, so stamps
+  // never need clearing between runs. kNeverEpoch doubles as "never
+  // touched": the round whose epoch would reach it re-fills every stamp
+  // with kNeverEpoch and rebases to epoch 0 (rebase_epochs), so no live
+  // stamp ever aliases it or a stamp from before the wrap. 32-bit
+  // stamps halve the footprint of the per-arc and per-receiver
+  // metadata.
   static constexpr std::uint32_t kNeverEpoch =
       static_cast<std::uint32_t>(-1);
   std::uint32_t epoch() const noexcept {
-    return static_cast<std::uint32_t>(round_);
+    return epoch_base_ + static_cast<std::uint32_t>(round_);
+  }
+
+  /// Start of the stamp cycle: forget every stamp, then make the current
+  /// round epoch 0. Only stamps equal to the current epoch carry
+  /// meaning within a round, so nothing older needs to survive.
+  void rebase_epochs() {
+    for (ArcMeta& am : arc_meta_) am.stamp = kNeverEpoch;
+    for (InboxMeta& im : inbox_meta_) im.stamp = kNeverEpoch;
+    std::fill(active_stamp_.begin(), active_stamp_.end(), kNeverEpoch);
+    epoch_base_ = -static_cast<std::uint32_t>(round_);
+  }
+
+  /// engine.setup span over construction or reset, behind the tracer
+  /// gate: the start stamp is 0 when the tracer is not recording.
+  static std::uint64_t setup_span_start() {
+    return telemetry::Tracer::global().recording() ? telemetry::now_ns() : 0;
+  }
+  void setup_span_end(std::uint64_t t0, bool is_reset) const {
+    if (t0 == 0) return;
+    telemetry::Tracer::global().emit(
+        "engine.setup", "engine", t0, telemetry::now_ns() - t0,
+        {{"arcs", static_cast<double>(arc_meta_.size())},
+         {"reset", is_reset ? 1.0 : 0.0}});
   }
 
   /// Per-arc channel metadata, packed so the send path touches one
@@ -1006,6 +1077,7 @@ class SyncNetwork {
 #endif
 
   std::uint64_t round_ = 0;
+  std::uint32_t epoch_base_ = 0;  // epoch() of round 0 (see kNeverEpoch)
   std::uint64_t pending_ = 0;  // messages awaiting delivery next round
   std::uint64_t delivered_last_round_ = 0;
   std::uint64_t delivered_total_ = 0;  // cumulative (progress board)

@@ -138,6 +138,58 @@ TEST(BipartiteCounting, RespectsActiveEdgeMask) {
   EXPECT_EQ(res.total[8].to_u64(), 2u);
 }
 
+TEST(BipartiteCounting, ReusedCounterMatchesFreshPasses) {
+  // One PathCounter re-run against changing matchings, lengths and
+  // masks must reproduce a fresh pass every time, and its arrivals
+  // c_v[i] must sum to n_v (X nodes: exactly one, from the mate).
+  Rng rng(61);
+  const auto bg = random_bipartite(40, 40, 0.1, rng);
+  const Graph& g = bg.graph;
+  const Matching greedy = greedy_mcm(g);
+  Matching partial(g.num_nodes());
+  for (EdgeId e : greedy.edge_ids(g)) {
+    if (e % 3 != 0) partial.add(g, e);
+  }
+  std::vector<char> mask(g.num_edges(), 1);
+  for (EdgeId e = 0; e < g.num_edges(); e += 5) mask[e] = 0;
+  PathCounter counter(g, bg.side);
+  struct Pass {
+    const Matching* m;
+    int len;
+    const std::vector<char>* mask;
+  };
+  const std::vector<char> all;
+  for (const Pass& p : {Pass{&partial, 5, &all}, Pass{&greedy, 7, &all},
+                        Pass{&partial, 3, &mask}, Pass{&partial, 5, &all}}) {
+    const CountingResult want =
+        count_augmenting_paths(g, bg.side, *p.m, p.len, *p.mask);
+    const CountingResult& got = counter.run(*p.m, p.len, *p.mask);
+    EXPECT_EQ(got.depth, want.depth);
+    EXPECT_EQ(got.total, want.total);
+    EXPECT_EQ(got.endpoint, want.endpoint);
+    EXPECT_EQ(got.stats.messages, want.stats.messages);
+    EXPECT_EQ(got.stats.total_bits, want.stats.total_bits);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (got.depth[v] == kUnreached || got.depth[v] == 0) continue;
+      BigCounter sum;
+      std::size_t arrivals = 0;
+      for (std::size_t i = 0; i < g.degree(v); ++i) {
+        if (const BigCounter* c = counter.arrival(v, i)) {
+          sum += *c;
+          ++arrivals;
+          if (bg.side[v] == 0) {
+            EXPECT_EQ(g.neighbors(v)[i].edge, p.m->matched_edge(v));
+          }
+        }
+      }
+      EXPECT_EQ(sum, got.total[v]) << "v=" << v;
+      if (bg.side[v] == 0) {
+        EXPECT_EQ(arrivals, 1u) << "v=" << v;
+      }
+    }
+  }
+}
+
 TEST(BipartiteCounting, RejectsBadArguments) {
   const auto fig = make_fig1();
   EXPECT_THROW(

@@ -1,19 +1,36 @@
 // Tests for the synchronous message-passing runtime: delivery semantics
 // (the model of the paper's Section 2), channel exclusivity, bit
-// metering, determinism, thread-pool equivalence, and the epoch-stamped
-// mailbox / active-set scheduler introduced in DESIGN.md §9.
+// metering, determinism, thread-pool equivalence, the epoch-stamped
+// mailbox / active-set scheduler introduced in DESIGN.md §9, and the
+// set-up lifecycle of DESIGN.md §11 (linear slot pass, reset(seed)).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <tuple>
 
 #include "core/israeli_itai.hpp"
+#include "faults/injector.hpp"
 #include "graph/generators.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
+
+/// Moves a network's epoch base, so the stamp re-fill at the 32-bit wrap
+/// runs within a few rounds instead of 2^32.
+struct SyncNetworkTestAccess {
+  template <typename Net>
+  static void set_epoch(Net& net, std::uint32_t epoch) {
+    net.epoch_base_ = epoch - static_cast<std::uint32_t>(net.round_);
+  }
+  template <typename Net>
+  static std::uint32_t epoch(const Net& net) {
+    return net.epoch();
+  }
+};
+
 namespace {
 
 struct IntMsg {
@@ -377,6 +394,200 @@ TEST(SyncNetwork, PoolBitIdenticalToSequentialAt8Threads) {
   EXPECT_EQ(seq_stats.messages, par_stats.messages);
   EXPECT_EQ(seq_stats.total_bits, par_stats.total_bits);
   EXPECT_EQ(seq_stats.max_message_bits, par_stats.max_message_bits);
+}
+
+// ------------------------------------------------- set-up lifecycle ----
+
+TEST(SyncNetwork, SlotIsSenderRankInReceiverRow) {
+  // The linear slot pass must give every arc the sender's position in
+  // the receiver's sorted row. Cases: a random graph; a star whose hub
+  // row spans several 1024-node shards; isolated vertices; and an
+  // induced subgraph (renumbered ids, dropped edges).
+  Rng rng(41);
+  std::vector<Graph> graphs;
+  graphs.push_back(erdos_renyi(300, 0.05, rng));
+  graphs.push_back(star_graph(5000));
+  graphs.push_back(Graph(12, {{0, 5}, {5, 9}, {9, 2}, {2, 11}, {0, 11}}));
+  const Graph big = erdos_renyi(400, 0.03, rng);
+  std::vector<char> keep_node(big.num_nodes(), 1);
+  for (NodeId v = 0; v < big.num_nodes(); v += 3) keep_node[v] = 0;
+  std::vector<char> keep_edge(big.num_edges(), 1);
+  for (EdgeId e = 0; e < big.num_edges(); e += 4) keep_edge[e] = 0;
+  graphs.push_back(induced_subgraph(big, keep_node, keep_edge).graph);
+
+  for (const Graph& g : graphs) {
+    SyncNetwork<IntMsg> net(g, 1);
+    net.set_shards(4096);  // the narrowest shards: 1024 nodes each
+    std::uint64_t checked = 0;
+    auto step = [&](SyncNetwork<IntMsg>::Ctx& ctx) {
+      if (ctx.round() == 0) {
+        ctx.send_all(IntMsg{static_cast<int>(ctx.id())});
+        return;
+      }
+      const auto nbrs = ctx.graph().neighbors(ctx.id());
+      ASSERT_EQ(ctx.inbox().size(), nbrs.size());
+      for (const auto& in : ctx.inbox()) {
+        // The payload names the sender independently of the slot (from
+        // and edge are derived from the slot, so they cannot).
+        const auto sender = static_cast<NodeId>(in.payload->value);
+        std::uint32_t rank = 0;
+        while (nbrs[rank].to != sender) ++rank;
+        EXPECT_EQ(in.slot, rank);
+        EXPECT_EQ(in.from, sender);
+        ++checked;
+      }
+    };
+    net.run_round(step);
+    net.run_round(step);
+    EXPECT_EQ(checked, 2 * std::uint64_t{g.num_edges()});
+  }
+}
+
+/// One delivered message or RNG draw, as a reset-equivalence record.
+using Record = std::tuple<std::uint64_t, NodeId, NodeId, EdgeId, std::uint32_t,
+                          int>;
+
+/// A client that draws, sends on a draw-dependent subset of its row and
+/// keeps itself alive; returns every node's log of (round, node, from,
+/// edge, slot, payload) deliveries and draws (from = kInvalidNode).
+std::vector<std::vector<Record>> run_client(SyncNetwork<IntMsg>& net,
+                                            int rounds) {
+  std::vector<std::vector<Record>> log(net.shard_plan().n);
+  auto step = [&](SyncNetwork<IntMsg>::Ctx& ctx) {
+    const NodeId v = ctx.id();
+    for (const auto& in : ctx.inbox()) {
+      log[v].emplace_back(ctx.round(), v, in.from, in.edge, in.slot,
+                          in.payload->value);
+    }
+    const int draw = static_cast<int>(ctx.rng().below(1000));
+    log[v].emplace_back(ctx.round(), v, kInvalidNode, kInvalidEdge, 0, draw);
+    if (draw % 5 != 0) {
+      ctx.keep_active();
+      for (const auto& inc : ctx.graph().neighbors(v)) {
+        if ((draw + inc.to) % 2 == 0) ctx.send(inc.edge, IntMsg{draw});
+      }
+    }
+  };
+  for (int r = 0; r < rounds; ++r) net.run_round(step);
+  return log;
+}
+
+void expect_same_stats(const NetStats& a, const NetStats& b) {
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.total_bits, b.total_bits);
+  EXPECT_EQ(a.max_message_bits, b.max_message_bits);
+}
+
+TEST(SyncNetwork, ResetEqualsFreshNetwork) {
+  // Run k rounds under one seed with leftovers of every kind (staged
+  // sends, a pending activation, the restrict and step-all flags),
+  // reset to s' and run again: deliveries, draws and NetStats must
+  // equal a fresh network seeded with s' — sequentially and on a pool,
+  // with the second run starting from every node or from a chosen few.
+  Rng rng(43);
+  const Graph g = erdos_renyi(600, 0.015, rng);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (const bool restricted : {false, true}) {
+      const auto start = [&](SyncNetwork<IntMsg>& net) {
+        if (!restricted) return;
+        net.restrict_initial_active();
+        for (NodeId v = 0; v < g.num_nodes(); v += 7) net.activate(v);
+      };
+      SyncNetwork<IntMsg> fresh(g, 77);
+      fresh.set_thread_pool(p);
+      start(fresh);
+      const auto want = run_client(fresh, 9);
+
+      SyncNetwork<IntMsg> reused(g, 5);
+      reused.set_thread_pool(p);
+      if (restricted) {
+        reused.step_all_nodes();
+      } else {
+        reused.restrict_initial_active();
+        reused.activate(3);
+      }
+      run_client(reused, 7);
+      reused.activate(4);  // dropped by reset
+      reused.reset(77);
+      EXPECT_EQ(reused.round(), 0u);
+      EXPECT_EQ(reused.stats().messages, 0u);
+      start(reused);
+      const auto got = run_client(reused, 9);
+      EXPECT_EQ(got, want) << "restricted=" << restricted;
+      expect_same_stats(reused.stats(), fresh.stats());
+    }
+  }
+}
+
+TEST(SyncNetwork, ResetDropsDelayedMessages) {
+  // Under a delay-fault injector a finished run leaves held-back
+  // messages in the delayed queue; reset must drop them, so the next run
+  // equals a fresh network with the same plan.
+#if !LPS_FAULTS
+  GTEST_SKIP() << "faults compiled out (LPS_FAULTS=0)";
+#endif
+  faults::FaultPlan plan;
+  plan.delay_p = 0.5;
+  plan.delay_rounds = 4;
+  Rng rng(47);
+  const Graph g = erdos_renyi(300, 0.03, rng);
+
+  // The first run does leave delayed messages: keep stepping a probe
+  // copy silently past the staged round and count late deliveries.
+  faults::MessageFaultInjector probe_faults(plan, 9);
+  SyncNetwork<IntMsg> probe(g, 5);
+  probe.set_message_faults(&probe_faults);
+  run_client(probe, 6);
+  probe.run_round([](SyncNetwork<IntMsg>::Ctx&) {});  // staged sends land
+  std::uint64_t late = 0;
+  for (std::uint32_t r = 0; r < plan.delay_rounds; ++r) {
+    probe.run_round([](SyncNetwork<IntMsg>::Ctx&) {});
+    late += probe.last_round_deliveries();
+  }
+  ASSERT_GT(late, 0u);
+
+  faults::MessageFaultInjector fresh_faults(plan, 9);
+  SyncNetwork<IntMsg> fresh(g, 31);
+  fresh.set_message_faults(&fresh_faults);
+  const auto want = run_client(fresh, 10);
+
+  faults::MessageFaultInjector reused_faults(plan, 9);
+  SyncNetwork<IntMsg> reused(g, 5);
+  reused.set_message_faults(&reused_faults);
+  run_client(reused, 6);
+  reused.reset(31);
+  const auto got = run_client(reused, 10);
+  EXPECT_EQ(got, want);
+  expect_same_stats(reused.stats(), fresh.stats());
+}
+
+TEST(SyncNetwork, StampRefillAtEpochWrap) {
+  // Runs that cross the 32-bit epoch wrap must re-fill the stamps: with
+  // stale stamps left behind, epochs after the wrap would alias them and
+  // the client's single sends would trip the double-send check or land
+  // in stale inboxes. Both a fresh network started just below the wrap
+  // and a reset one must equal an ordinary fresh run.
+  Rng rng(53);
+  const Graph g = erdos_renyi(400, 0.02, rng);
+  constexpr std::uint32_t kNear = static_cast<std::uint32_t>(-1) - 3;
+  SyncNetwork<IntMsg> plain(g, 11);
+  const auto want = run_client(plain, 12);
+
+  SyncNetwork<IntMsg> high(g, 11);
+  SyncNetworkTestAccess::set_epoch(high, kNear);
+  EXPECT_EQ(run_client(high, 12), want);
+  expect_same_stats(high.stats(), plain.stats());
+  EXPECT_EQ(SyncNetworkTestAccess::epoch(high), 12u - 3u);  // re-based
+
+  SyncNetwork<IntMsg> reused(g, 2);
+  run_client(reused, 12);
+  SyncNetworkTestAccess::set_epoch(reused, kNear);
+  reused.reset(11);
+  EXPECT_EQ(SyncNetworkTestAccess::epoch(reused), kNear);
+  EXPECT_EQ(run_client(reused, 12), want);
+  expect_same_stats(reused.stats(), plain.stats());
 }
 
 TEST(NetStats, MergeAndScaledMerge) {

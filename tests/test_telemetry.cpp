@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "engine_cases.hpp"
+#include "graph/generators.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/thread_pool.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_reader.hpp"
@@ -222,6 +224,41 @@ TEST(Tracer, ChromeTraceRoundTrips) {
     if (name == "gtest-main") labeled = true;
   }
   EXPECT_TRUE(labeled);
+}
+
+TEST(Tracer, EngineSetupSpansCoverConstructionAndReset) {
+  // Engine set-up is solve time too: construction and reset() each emit
+  // one engine.setup span (category "engine", so coverage counts it),
+  // and nothing while the tracer is off.
+  tel::Tracer& tracer = tel::Tracer::global();
+  tracer.reset();
+  const Graph g = path_graph(50);
+  { SyncNetwork<int> quiet(g, 1); quiet.reset(2); }
+  EXPECT_EQ(tracer.events(), 0u);
+  tracer.set_recording(true);
+  if (!tracer.recording()) {
+    GTEST_SKIP() << "telemetry compiled out (LPS_TELEMETRY=0)";
+  }
+  {
+    SyncNetwork<int> net(g, 1);
+    net.reset(2);
+  }
+  tracer.set_recording(false);
+  std::ostringstream os;
+  tracer.write_chrome_trace(os);
+  tracer.reset();
+  tel::TraceDoc doc;
+  std::string error;
+  ASSERT_TRUE(tel::load_chrome_trace(os.str(), doc, &error)) << error;
+  std::vector<double> reset_flags;
+  for (const tel::TraceSpan& s : doc.spans) {
+    if (s.name != "engine.setup") continue;
+    EXPECT_EQ(s.cat, "engine");
+    EXPECT_EQ(s.ph, 'X');
+    EXPECT_DOUBLE_EQ(s.args.at("arcs"), 2.0 * g.num_edges());
+    reset_flags.push_back(s.args.at("reset"));
+  }
+  EXPECT_EQ(reset_flags, (std::vector<double>{0.0, 1.0}));
 }
 
 TEST(TraceReader, RejectsMalformedDocuments) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <compare>
 #include <map>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/bigint.hpp"
 #include "util/options.hpp"
@@ -243,6 +247,100 @@ TEST(BigCounter, SampleBelowHuge) {
   }
   EXPECT_THROW(BigCounter::sample_below(BigCounter{}, rng),
                std::invalid_argument);
+}
+
+TEST(BigCounter, InlineLimbCarriesIntoHeapAndBack) {
+  // 2^64 - 1 lives in the inline limb; +1 carries into a second limb.
+  const BigCounter max64(~0ULL);
+  BigCounter x = max64;
+  x += BigCounter(1);
+  EXPECT_FALSE(x.fits_u64());
+  EXPECT_EQ(x.bit_size(), 65u);
+  EXPECT_EQ(x.to_string(), "18446744073709551616");
+  x += max64;  // 2^65 - 1: low limb carries again, high limb grows
+  EXPECT_EQ(x.to_string(), "36893488147419103231");
+  // Subtracting back below 2^64 leaves one significant limb in heap
+  // storage: it must compare and order exactly like an inline value.
+  x -= max64;
+  x -= BigCounter(1);
+  EXPECT_TRUE(x.fits_u64());
+  EXPECT_EQ(x, max64);
+  EXPECT_EQ(x <=> max64, std::strong_ordering::equal);
+  EXPECT_EQ(x.bit_size(), 64u);
+  x -= BigCounter(~0ULL - 6);
+  EXPECT_EQ(x, BigCounter(6));
+  EXPECT_LT(x, BigCounter(7));
+  EXPECT_EQ(x.to_u64(), 6u);
+  x -= BigCounter(6);
+  EXPECT_TRUE(x.is_zero());
+  EXPECT_EQ(x, BigCounter{});
+  // Self-addition, inline and spilled.
+  BigCounter y(~0ULL);
+  y += y;
+  EXPECT_EQ(y.to_string(), "36893488147419103230");
+  y += y;
+  EXPECT_EQ(y.to_string(), "73786976294838206460");
+}
+
+TEST(BigCounter, CopyAndMoveInlineAndHeap) {
+  BigCounter big(~0ULL);
+  big.shift_left(40);  // 2^104 - 2^40: two limbs on the heap
+  const std::string big_str = big.to_string();
+  const BigCounter small(12345);
+  const std::vector<const BigCounter*> sources = {&small, &big};
+  for (const BigCounter* src : sources) {
+    const std::string want = src->to_string();
+    BigCounter copy(*src);
+    EXPECT_EQ(copy, *src);
+    BigCounter assigned(7);
+    assigned = *src;
+    EXPECT_EQ(assigned, *src);
+    BigCounter spilled = big;  // heap target, then overwritten
+    spilled = *src;
+    EXPECT_EQ(spilled.to_string(), want);
+    BigCounter moved(std::move(copy));
+    EXPECT_EQ(moved.to_string(), want);
+    EXPECT_TRUE(copy.is_zero());  // NOLINT(bugprone-use-after-move)
+    BigCounter move_assigned = big;
+    move_assigned = std::move(assigned);
+    EXPECT_EQ(move_assigned.to_string(), want);
+    EXPECT_TRUE(assigned.is_zero());  // NOLINT(bugprone-use-after-move)
+    // The moved-from values stay usable.
+    copy += BigCounter(3);
+    EXPECT_EQ(copy, BigCounter(3));
+  }
+  EXPECT_EQ(big.to_string(), big_str);
+  BigCounter self = big;
+  self = *&self;
+  EXPECT_EQ(self, big);
+  EXPECT_EQ(sizeof(BigCounter), 16u);
+}
+
+TEST(BigCounter, SampleBelowDrawsArePinned) {
+  // Token selection's backward-edge sampling consumes these draws, so
+  // they are part of every bipartite_mcm execution: pinned outputs for
+  // a one-limb bound, a bound just above 2^64 and the largest one-limb
+  // bound, plus the generator state afterwards.
+  Rng rng(2024);
+  const BigCounter b1(1000);
+  BigCounter b2(~0ULL);
+  b2 += BigCounter(12346);  // 2^64 + 12345
+  const BigCounter b3(~0ULL);
+  std::vector<std::string> got;
+  const std::vector<const BigCounter*> bounds = {&b1, &b2, &b3};
+  for (const BigCounter* b : bounds) {
+    for (int i = 0; i < 4; ++i) {
+      got.push_back(BigCounter::sample_below(*b, rng).to_string());
+    }
+  }
+  const std::vector<std::string> want = {
+      "111", "243", "608", "745",
+      "18035379406078680888", "13477129847027669337",
+      "13985981050275766116", "3372794855887293997",
+      "7979675469073866724", "17032127011012199473",
+      "9527150824713572064", "7356637032364591905"};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(rng(), 2588439998601345256ULL);
 }
 
 TEST(BigCounter, DecimalStringKnownValues) {
