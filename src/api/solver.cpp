@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
@@ -60,7 +61,8 @@ SolverConfig& SolverConfig::set(const std::string& key,
   if (key == "seed") {
     seed(static_cast<std::uint64_t>(parse_int_value(key, value)));
   } else if (key == "shards") {
-    shards(static_cast<unsigned>(parse_int_value(key, value)));
+    shards(static_cast<unsigned>(
+        parse_count_value(key, value, std::numeric_limits<unsigned>::max())));
   } else {
     values_[key] = value;
   }

@@ -32,8 +32,8 @@ using MisNet = SyncNetwork<MisMessage, MisBits>;
 enum class NodeState : std::uint8_t { kLive, kIn, kOut };
 
 /// Convergence test, a dense byte scan: any node still kLive? The state
-/// column is a contiguous u8 array, so this is one simd sweep with the
-/// early-exit granularity picked by simd::block_bytes().
+/// column is a contiguous u8 array, so this is one vectorized
+/// simd::any_eq_u8 sweep that stops at the first block with a hit.
 bool any_live_node(const std::vector<NodeState>& state) {
   return simd::any_eq_u8(reinterpret_cast<const std::uint8_t*>(state.data()),
                          state.size(),

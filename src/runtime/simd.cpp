@@ -1,70 +1,40 @@
 #include "runtime/simd.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
-#include "runtime/shard.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define LPS_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define LPS_SIMD_X86 0
-#endif
-
 namespace lps::simd {
 
 namespace {
 
-std::atomic<int>& forced_scalar_flag() {
-  static std::atomic<int> flag{[] {
-    const char* e = std::getenv("LPS_FORCE_SCALAR");
-    return (e != nullptr && e[0] != '\0' &&
-            !(e[0] == '0' && e[1] == '\0'))
-               ? 1
-               : 0;
-  }()};
-  return flag;
-}
+// The byte scans OR-reduce fixed blocks and test for a hit only between
+// blocks: GCC does not vectorize a loop that can exit mid-loop, while a
+// branch-free block reduces at full vector width. 256 bytes is a few
+// vectors at any width, so a hit still stops the scan early.
+constexpr std::size_t kScanBlock = 256;
 
-// ---- scalar reference paths (always compiled, always reachable) ----
-
-bool any_eq_u8_scalar(const std::uint8_t* p, std::size_t n,
-                      std::uint8_t v) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (p[i] == v) return true;
+template <typename Hit>
+bool any_blocked(const std::uint8_t* p, std::size_t n, Hit hit) {
+  std::size_t i = 0;
+  for (; i + kScanBlock <= n; i += kScanBlock) {
+    std::uint8_t found = 0;
+    for (std::size_t j = i; j < i + kScanBlock; ++j) found |= hit(p[j]);
+    if (found != 0) return true;
   }
-  return false;
+  std::uint8_t found = 0;
+  for (; i < n; ++i) found |= hit(p[i]);
+  return found != 0;
 }
 
-bool any_ne_u8_scalar(const std::uint8_t* p, std::size_t n,
-                      std::uint8_t v) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (p[i] != v) return true;
-  }
-  return false;
+}  // namespace
+
+bool any_eq_u8(const std::uint8_t* p, std::size_t n, std::uint8_t v) {
+  return any_blocked(p, n, [v](std::uint8_t b) { return b == v; });
 }
 
-std::size_t count_eq_u8_scalar(const std::uint8_t* p, std::size_t n,
-                               std::uint8_t v) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += p[i] == v ? 1 : 0;
-  }
-  return total;
+bool any_ne_u8(const std::uint8_t* p, std::size_t n, std::uint8_t v) {
+  return any_blocked(p, n, [v](std::uint8_t b) { return b != v; });
 }
 
-void mask_eq_u8_scalar(const std::uint8_t* p, std::size_t n,
-                       std::uint8_t v, std::uint8_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = p[i] == v ? 1 : 0;
-  }
-}
-
-std::size_t mask_positive_f64_scalar(const double* x, std::size_t n,
-                                     std::uint8_t* out) {
+std::size_t mask_positive_f64(const double* x, std::size_t n,
+                              std::uint8_t* out) {
   std::size_t total = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint8_t keep = x[i] > 0.0 ? 1 : 0;
@@ -74,447 +44,26 @@ std::size_t mask_positive_f64_scalar(const double* x, std::size_t n,
   return total;
 }
 
-/// Strict total order (w desc, id asc) shared by every argmax path.
-bool beats(double wa, std::uint32_t ida, double wb, std::uint32_t idb) {
-  return wa > wb || (wa == wb && ida < idb);
-}
-
-std::size_t argmax_masked_f64_scalar(const double* w,
-                                     const std::uint32_t* id,
-                                     const std::uint8_t* alive,
-                                     std::size_t n) {
+std::size_t argmax_masked_f64(const double* w, const std::uint32_t* id,
+                              const std::uint8_t* alive, std::size_t n) {
   std::size_t best = npos;
   for (std::size_t i = 0; i < n; ++i) {
     if (alive[i] == 0) continue;
-    if (best == npos || beats(w[i], id[i], w[best], id[best])) best = i;
+    if (best == npos || w[i] > w[best] ||
+        (w[i] == w[best] && id[i] < id[best])) {
+      best = i;
+    }
   }
   return best;
 }
 
-void sub2_gather_f64_scalar(const double* w, const double* sub,
-                            const std::uint32_t* eu,
-                            const std::uint32_t* ev, double* out,
-                            std::size_t n) {
+void sub2_gather_f64(const double* w, const double* __restrict sub,
+                     const std::uint32_t* __restrict eu,
+                     const std::uint32_t* __restrict ev, double* out,
+                     std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = w[i] - sub[eu[i]] - sub[ev[i]];
   }
-}
-
-#if LPS_SIMD_X86
-
-// ---- SSE2 paths (baseline on x86-64, no target attribute needed) ----
-
-bool any_eq_u8_sse2(const std::uint8_t* p, std::size_t n,
-                    std::uint8_t v) {
-  const __m128i vv = _mm_set1_epi8(static_cast<char>(v));
-  const std::size_t blk = block_bytes();
-  const std::size_t vend = n & ~std::size_t{15};
-  for (std::size_t base = 0; base < vend; base += blk) {
-    const std::size_t stop = std::min(vend, base + blk);
-    __m128i acc = _mm_setzero_si128();
-    for (std::size_t i = base; i < stop; i += 16) {
-      const __m128i x =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-      acc = _mm_or_si128(acc, _mm_cmpeq_epi8(x, vv));
-    }
-    if (_mm_movemask_epi8(acc) != 0) return true;
-  }
-  return any_eq_u8_scalar(p + vend, n - vend, v);
-}
-
-bool any_ne_u8_sse2(const std::uint8_t* p, std::size_t n,
-                    std::uint8_t v) {
-  const __m128i vv = _mm_set1_epi8(static_cast<char>(v));
-  const std::size_t blk = block_bytes();
-  const std::size_t vend = n & ~std::size_t{15};
-  for (std::size_t base = 0; base < vend; base += blk) {
-    const std::size_t stop = std::min(vend, base + blk);
-    __m128i acc = _mm_set1_epi8(static_cast<char>(0xFF));
-    for (std::size_t i = base; i < stop; i += 16) {
-      const __m128i x =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-      acc = _mm_and_si128(acc, _mm_cmpeq_epi8(x, vv));
-    }
-    if (_mm_movemask_epi8(acc) != 0xFFFF) return true;
-  }
-  return any_ne_u8_scalar(p + vend, n - vend, v);
-}
-
-std::size_t count_eq_u8_sse2(const std::uint8_t* p, std::size_t n,
-                             std::uint8_t v) {
-  const __m128i vv = _mm_set1_epi8(static_cast<char>(v));
-  const __m128i zero = _mm_setzero_si128();
-  const std::size_t vend = n & ~std::size_t{15};
-  std::size_t total = 0;
-  std::size_t i = 0;
-  while (i < vend) {
-    // cmpeq yields 0 or -1 per byte; subtracting accumulates per-byte
-    // counts that stay < 256 for at most 255 vectors before a flush.
-    const std::size_t stop = std::min(vend, i + std::size_t{255} * 16);
-    __m128i acc = zero;
-    for (; i < stop; i += 16) {
-      const __m128i x =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-      acc = _mm_sub_epi8(acc, _mm_cmpeq_epi8(x, vv));
-    }
-    const __m128i sad = _mm_sad_epu8(acc, zero);
-    total += static_cast<std::size_t>(_mm_cvtsi128_si64(
-        _mm_add_epi64(sad, _mm_srli_si128(sad, 8))));
-  }
-  return total + count_eq_u8_scalar(p + vend, n - vend, v);
-}
-
-void mask_eq_u8_sse2(const std::uint8_t* p, std::size_t n,
-                     std::uint8_t v, std::uint8_t* out) {
-  const __m128i vv = _mm_set1_epi8(static_cast<char>(v));
-  const __m128i one = _mm_set1_epi8(1);
-  const std::size_t vend = n & ~std::size_t{15};
-  for (std::size_t i = 0; i < vend; i += 16) {
-    const __m128i x =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_and_si128(_mm_cmpeq_epi8(x, vv), one));
-  }
-  mask_eq_u8_scalar(p + vend, n - vend, v, out + vend);
-}
-
-std::size_t mask_positive_f64_sse2(const double* x, std::size_t n,
-                                   std::uint8_t* out) {
-  const __m128d zero = _mm_setzero_pd();
-  const std::size_t vend = n & ~std::size_t{1};
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < vend; i += 2) {
-    const int m = _mm_movemask_pd(_mm_cmpgt_pd(_mm_loadu_pd(x + i), zero));
-    out[i] = static_cast<std::uint8_t>(m & 1);
-    out[i + 1] = static_cast<std::uint8_t>((m >> 1) & 1);
-    total += static_cast<std::size_t>(__builtin_popcount(
-        static_cast<unsigned>(m)));
-  }
-  return total + mask_positive_f64_scalar(x + vend, n - vend, out + vend);
-}
-
-// ---- AVX2 paths (runtime-dispatched; compiled with a per-function
-// target attribute so the rest of the binary stays baseline ISA) ----
-
-__attribute__((target("avx2"))) bool any_eq_u8_avx2(
-    const std::uint8_t* p, std::size_t n, std::uint8_t v) {
-  const __m256i vv = _mm256_set1_epi8(static_cast<char>(v));
-  const std::size_t blk = block_bytes();
-  const std::size_t vend = n & ~std::size_t{31};
-  for (std::size_t base = 0; base < vend; base += blk) {
-    const std::size_t stop = std::min(vend, base + blk);
-    __m256i acc = _mm256_setzero_si256();
-    for (std::size_t i = base; i < stop; i += 32) {
-      const __m256i x =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
-      acc = _mm256_or_si256(acc, _mm256_cmpeq_epi8(x, vv));
-    }
-    if (_mm256_movemask_epi8(acc) != 0) return true;
-  }
-  return any_eq_u8_scalar(p + vend, n - vend, v);
-}
-
-__attribute__((target("avx2"))) bool any_ne_u8_avx2(
-    const std::uint8_t* p, std::size_t n, std::uint8_t v) {
-  const __m256i vv = _mm256_set1_epi8(static_cast<char>(v));
-  const std::size_t blk = block_bytes();
-  const std::size_t vend = n & ~std::size_t{31};
-  for (std::size_t base = 0; base < vend; base += blk) {
-    const std::size_t stop = std::min(vend, base + blk);
-    __m256i acc = _mm256_set1_epi8(static_cast<char>(0xFF));
-    for (std::size_t i = base; i < stop; i += 32) {
-      const __m256i x =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
-      acc = _mm256_and_si256(acc, _mm256_cmpeq_epi8(x, vv));
-    }
-    if (_mm256_movemask_epi8(acc) != -1) return true;
-  }
-  return any_ne_u8_scalar(p + vend, n - vend, v);
-}
-
-__attribute__((target("avx2"))) std::size_t count_eq_u8_avx2(
-    const std::uint8_t* p, std::size_t n, std::uint8_t v) {
-  const __m256i vv = _mm256_set1_epi8(static_cast<char>(v));
-  const __m256i zero = _mm256_setzero_si256();
-  const std::size_t vend = n & ~std::size_t{31};
-  std::size_t total = 0;
-  std::size_t i = 0;
-  while (i < vend) {
-    const std::size_t stop = std::min(vend, i + std::size_t{255} * 32);
-    __m256i acc = zero;
-    for (; i < stop; i += 32) {
-      const __m256i x =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
-      acc = _mm256_sub_epi8(acc, _mm256_cmpeq_epi8(x, vv));
-    }
-    const __m256i sad = _mm256_sad_epu8(acc, zero);
-    const __m128i lo = _mm256_castsi256_si128(sad);
-    const __m128i hi = _mm256_extracti128_si256(sad, 1);
-    const __m128i sum = _mm_add_epi64(lo, hi);
-    total += static_cast<std::size_t>(_mm_cvtsi128_si64(
-        _mm_add_epi64(sum, _mm_srli_si128(sum, 8))));
-  }
-  return total + count_eq_u8_scalar(p + vend, n - vend, v);
-}
-
-__attribute__((target("avx2"))) void mask_eq_u8_avx2(
-    const std::uint8_t* p, std::size_t n, std::uint8_t v,
-    std::uint8_t* out) {
-  const __m256i vv = _mm256_set1_epi8(static_cast<char>(v));
-  const __m256i one = _mm256_set1_epi8(1);
-  const std::size_t vend = n & ~std::size_t{31};
-  for (std::size_t i = 0; i < vend; i += 32) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_and_si256(_mm256_cmpeq_epi8(x, vv), one));
-  }
-  mask_eq_u8_scalar(p + vend, n - vend, v, out + vend);
-}
-
-__attribute__((target("avx2"))) std::size_t mask_positive_f64_avx2(
-    const double* x, std::size_t n, std::uint8_t* out) {
-  const __m256d zero = _mm256_setzero_pd();
-  const std::size_t vend = n & ~std::size_t{3};
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < vend; i += 4) {
-    const int m = _mm256_movemask_pd(
-        _mm256_cmp_pd(_mm256_loadu_pd(x + i), zero, _CMP_GT_OQ));
-    out[i] = static_cast<std::uint8_t>(m & 1);
-    out[i + 1] = static_cast<std::uint8_t>((m >> 1) & 1);
-    out[i + 2] = static_cast<std::uint8_t>((m >> 2) & 1);
-    out[i + 3] = static_cast<std::uint8_t>((m >> 3) & 1);
-    total += static_cast<std::size_t>(__builtin_popcount(
-        static_cast<unsigned>(m)));
-  }
-  return total + mask_positive_f64_scalar(x + vend, n - vend, out + vend);
-}
-
-__attribute__((target("avx2"))) std::size_t argmax_masked_f64_avx2(
-    const double* w, const std::uint32_t* id, const std::uint8_t* alive,
-    std::size_t n) {
-  const std::size_t vend = n & ~std::size_t{3};
-  // Per-lane running best. Empty lanes hold (-inf, INT64_MAX, -1):
-  // any alive candidate beats them (greater weight, or equal -inf
-  // weight with a smaller id), so no separate validity mask is needed.
-  __m256d best_w = _mm256_set1_pd(-__builtin_huge_val());
-  __m256i best_id = _mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL);
-  __m256i best_ix = _mm256_set1_epi64x(-1);
-  const __m256i izero = _mm256_setzero_si256();
-  __m256i cur_ix = _mm256_setr_epi64x(0, 1, 2, 3);
-  const __m256i ix_step = _mm256_set1_epi64x(4);
-  for (std::size_t i = 0; i < vend; i += 4) {
-    const __m256d cw = _mm256_loadu_pd(w + i);
-    std::uint32_t abytes = 0;
-    std::memcpy(&abytes, alive + i, 4);
-    const __m256i alanes = _mm256_cvtepu8_epi64(
-        _mm_cvtsi32_si128(static_cast<int>(abytes)));
-    const __m256i alive_m = _mm256_cmpgt_epi64(alanes, izero);
-    const __m256i cid = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(id + i)));
-    const __m256d gt = _mm256_cmp_pd(cw, best_w, _CMP_GT_OQ);
-    const __m256d eq = _mm256_cmp_pd(cw, best_w, _CMP_EQ_OQ);
-    const __m256i id_lt = _mm256_cmpgt_epi64(best_id, cid);
-    const __m256i better = _mm256_or_si256(
-        _mm256_castpd_si256(gt),
-        _mm256_and_si256(_mm256_castpd_si256(eq), id_lt));
-    const __m256i take = _mm256_and_si256(better, alive_m);
-    best_w = _mm256_blendv_pd(best_w, cw, _mm256_castsi256_pd(take));
-    best_id = _mm256_blendv_epi8(best_id, cid, take);
-    best_ix = _mm256_blendv_epi8(best_ix, cur_ix, take);
-    cur_ix = _mm256_add_epi64(cur_ix, ix_step);
-  }
-  // Horizontal reduce under the same total order, then fold in the
-  // scalar tail. The order is strict (distinct ids), so the reduction
-  // order cannot change the winner.
-  alignas(32) double lane_w[4];
-  alignas(32) std::int64_t lane_id[4];
-  alignas(32) std::int64_t lane_ix[4];
-  _mm256_store_pd(lane_w, best_w);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lane_id), best_id);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ix), best_ix);
-  std::size_t best = npos;
-  for (int l = 0; l < 4; ++l) {
-    if (lane_ix[l] < 0) continue;
-    const std::size_t ix = static_cast<std::size_t>(lane_ix[l]);
-    if (best == npos || beats(lane_w[l], static_cast<std::uint32_t>(lane_id[l]),
-                              w[best], id[best])) {
-      best = ix;
-    }
-  }
-  for (std::size_t i = vend; i < n; ++i) {
-    if (alive[i] == 0) continue;
-    if (best == npos || beats(w[i], id[i], w[best], id[best])) best = i;
-  }
-  return best;
-}
-
-__attribute__((target("avx2"))) void sub2_gather_f64_avx2(
-    const double* w, const double* sub, const std::uint32_t* eu,
-    const std::uint32_t* ev, double* out, std::size_t n) {
-  const std::size_t vend = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < vend; i += 4) {
-    const __m128i iu =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(eu + i));
-    const __m128i iv =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ev + i));
-    const __m256d su = _mm256_i32gather_pd(sub, iu, 8);
-    const __m256d sv = _mm256_i32gather_pd(sub, iv, 8);
-    const __m256d r =
-        _mm256_sub_pd(_mm256_sub_pd(_mm256_loadu_pd(w + i), su), sv);
-    _mm256_storeu_pd(out + i, r);
-  }
-  sub2_gather_f64_scalar(w + vend, sub, eu + vend, ev + vend, out + vend,
-                         n - vend);
-}
-
-#endif  // LPS_SIMD_X86
-
-}  // namespace
-
-Level detected_level() {
-  static const Level level = [] {
-#if LPS_SIMD_X86
-    if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-    if (__builtin_cpu_supports("sse2")) return Level::kSse2;
-#endif
-    return Level::kScalar;
-  }();
-  return level;
-}
-
-Level active_level() {
-  return forced_scalar_flag().load(std::memory_order_relaxed) != 0
-             ? Level::kScalar
-             : detected_level();
-}
-
-void force_scalar(bool on) {
-  forced_scalar_flag().store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-const char* level_name(Level level) {
-  switch (level) {
-    case Level::kAvx2:
-      return "avx2";
-    case Level::kSse2:
-      return "sse2";
-    default:
-      return "scalar";
-  }
-}
-
-std::size_t block_bytes() {
-  static const std::size_t bytes = [] {
-    const CacheInfo& cache = detect_cache();
-    std::size_t b = cache.l1d_bytes / 2;
-    b = std::clamp(b, std::size_t{4} << 10, std::size_t{1} << 20);
-    const std::size_t line = std::max<std::size_t>(cache.line_bytes, 64);
-    b -= b % line;
-    b &= ~std::size_t{63};  // whole max-width vectors
-    return std::max(b, std::size_t{4} << 10);
-  }();
-  return bytes;
-}
-
-bool any_eq_u8(const std::uint8_t* p, std::size_t n, std::uint8_t v) {
-#if LPS_SIMD_X86
-  switch (active_level()) {
-    case Level::kAvx2:
-      return any_eq_u8_avx2(p, n, v);
-    case Level::kSse2:
-      return any_eq_u8_sse2(p, n, v);
-    default:
-      break;
-  }
-#endif
-  return any_eq_u8_scalar(p, n, v);
-}
-
-bool any_ne_u8(const std::uint8_t* p, std::size_t n, std::uint8_t v) {
-#if LPS_SIMD_X86
-  switch (active_level()) {
-    case Level::kAvx2:
-      return any_ne_u8_avx2(p, n, v);
-    case Level::kSse2:
-      return any_ne_u8_sse2(p, n, v);
-    default:
-      break;
-  }
-#endif
-  return any_ne_u8_scalar(p, n, v);
-}
-
-std::size_t count_eq_u8(const std::uint8_t* p, std::size_t n,
-                        std::uint8_t v) {
-#if LPS_SIMD_X86
-  switch (active_level()) {
-    case Level::kAvx2:
-      return count_eq_u8_avx2(p, n, v);
-    case Level::kSse2:
-      return count_eq_u8_sse2(p, n, v);
-    default:
-      break;
-  }
-#endif
-  return count_eq_u8_scalar(p, n, v);
-}
-
-void mask_eq_u8(const std::uint8_t* p, std::size_t n, std::uint8_t v,
-                std::uint8_t* out) {
-#if LPS_SIMD_X86
-  switch (active_level()) {
-    case Level::kAvx2:
-      mask_eq_u8_avx2(p, n, v, out);
-      return;
-    case Level::kSse2:
-      mask_eq_u8_sse2(p, n, v, out);
-      return;
-    default:
-      break;
-  }
-#endif
-  mask_eq_u8_scalar(p, n, v, out);
-}
-
-std::size_t mask_positive_f64(const double* x, std::size_t n,
-                              std::uint8_t* out) {
-#if LPS_SIMD_X86
-  switch (active_level()) {
-    case Level::kAvx2:
-      return mask_positive_f64_avx2(x, n, out);
-    case Level::kSse2:
-      return mask_positive_f64_sse2(x, n, out);
-    default:
-      break;
-  }
-#endif
-  return mask_positive_f64_scalar(x, n, out);
-}
-
-std::size_t argmax_masked_f64(const double* w, const std::uint32_t* id,
-                              const std::uint8_t* alive, std::size_t n) {
-#if LPS_SIMD_X86
-  // SSE2 lacks the 64-bit compares and blends this needs; it shares the
-  // scalar path, which the total order makes equally correct.
-  if (active_level() == Level::kAvx2) {
-    return argmax_masked_f64_avx2(w, id, alive, n);
-  }
-#endif
-  return argmax_masked_f64_scalar(w, id, alive, n);
-}
-
-void sub2_gather_f64(const double* w, const double* sub,
-                     const std::uint32_t* eu, const std::uint32_t* ev,
-                     double* out, std::size_t n) {
-#if LPS_SIMD_X86
-  // Gathers are AVX2-only; SSE2 shares the (bit-identical) scalar path.
-  if (active_level() == Level::kAvx2) {
-    sub2_gather_f64_avx2(w, sub, eu, ev, out, n);
-    return;
-  }
-#endif
-  sub2_gather_f64_scalar(w, sub, eu, ev, out, n);
 }
 
 }  // namespace lps::simd

@@ -1,26 +1,19 @@
-// Portable fixed-width vector helpers for the dense per-shard solver
-// sweeps (DESIGN.md §15).
+// Fixed-width vector helpers for the dense per-shard solver sweeps
+// (DESIGN.md §15).
 //
-// Every kernel here has three implementations — scalar, SSE2, AVX2 —
-// selected once per process by runtime dispatch (cpuid), never by
-// compile flags, so one binary runs everywhere x86-64 and the scalar
-// path stays compiled and testable on any host. `LPS_FORCE_SCALAR=1`
-// (env) or `force_scalar(true)` (programmatic, for in-process identity
-// tests) pins the scalar path.
+// Each kernel is one portable C++ loop, written so the compiler
+// autovectorizes it under the build's target flags (`-march=native` by
+// default). There are no intrinsics, no runtime dispatch and no knob:
+// every platform and build type runs the same source.
 //
-// Bit-identity rule: a kernel may only be added here if its vector
-// path produces bit-identical results to its scalar path on every
-// input. For the predicate/count/mask kernels that is automatic (the
-// reductions are order-independent: OR, integer add, exact per-element
-// compares). The argmax kernel reduces under a strict total order
-// (weight desc, id asc — callers must pass distinct ids and non-NaN
-// weights), so lane order cannot change the winner. Kernels with
-// order-dependent floating-point reductions (sums, dot products) must
-// tree-reduce both paths identically or stay out of this header.
-//
-// Scans early-exit at block granularity; the block size is derived from
-// the detected L1d size (runtime::detect_cache) so a miss costs at most
-// one cache-resident sweep.
+// Exactness rule: a kernel may only be added here if its result does
+// not depend on how the compiler vectorizes it. OR and integer
+// reductions and per-element compares are order-independent; the
+// argmax reduces under a strict total order (weight desc, id asc —
+// callers must pass distinct ids and non-NaN weights); the gather does
+// per-element IEEE subtractions with no contractible multiply-add.
+// Order-dependent floating-point reductions (sums, dot products) stay
+// out of this header.
 #pragma once
 
 #include <cstddef>
@@ -30,27 +23,6 @@ namespace lps::simd {
 
 inline constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-enum class Level : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
-
-/// Best level this CPU supports (cpuid, cached after first call).
-Level detected_level();
-
-/// Level kernels actually run at: detected_level() unless scalar is
-/// forced via LPS_FORCE_SCALAR=1 or force_scalar(true).
-Level active_level();
-
-/// Pin (or unpin) the scalar path for this process. Overrides the
-/// LPS_FORCE_SCALAR environment setting; used by identity tests to
-/// compare scalar vs vectorized runs inside one binary.
-void force_scalar(bool on);
-
-const char* level_name(Level level);
-
-/// Early-exit granularity for the any_* scans: half the detected L1d
-/// size, clamped to [4 KiB, 1 MiB] and rounded down to a multiple of
-/// the detected line size.
-std::size_t block_bytes();
-
 // ---- byte-predicate kernels (solver state scans) ----
 
 /// Any p[i] == v?
@@ -58,14 +30,6 @@ bool any_eq_u8(const std::uint8_t* p, std::size_t n, std::uint8_t v);
 
 /// Any p[i] != v?
 bool any_ne_u8(const std::uint8_t* p, std::size_t n, std::uint8_t v);
-
-/// Number of i with p[i] == v.
-std::size_t count_eq_u8(const std::uint8_t* p, std::size_t n,
-                        std::uint8_t v);
-
-/// out[i] = (p[i] == v) ? 1 : 0. `out` must not alias `p`.
-void mask_eq_u8(const std::uint8_t* p, std::size_t n, std::uint8_t v,
-                std::uint8_t* out);
 
 // ---- f64 kernels (gain comparison / argmax) ----
 
@@ -76,16 +40,14 @@ std::size_t mask_positive_f64(const double* x, std::size_t n,
 
 /// Index of the best slot under (w desc, id asc) among slots with
 /// alive[i] != 0; npos when none is alive. Callers guarantee distinct
-/// ids among alive slots and non-NaN weights — the comparator is then
-/// a strict total order, so scalar and vector reductions agree
-/// bit-for-bit regardless of lane order.
+/// ids among alive slots and non-NaN weights, so the comparator is a
+/// strict total order and the winner is unique.
 std::size_t argmax_masked_f64(const double* w, const std::uint32_t* id,
                               const std::uint8_t* alive, std::size_t n);
 
-/// out[i] = w[i] - sub[eu[i]] - sub[ev[i]]. Exact per-element IEEE
-/// subtraction (no reassociation), so scalar and gather paths are
-/// bit-identical. Indices must be < 2^31 and in-bounds for `sub`;
-/// `out` may alias `w` but not `sub`.
+/// out[i] = w[i] - sub[eu[i]] - sub[ev[i]], exact per-element IEEE
+/// subtraction (no reassociation). Indices must be in-bounds for `sub`;
+/// `out` may alias `w` but not `sub`, `eu` or `ev`.
 void sub2_gather_f64(const double* w, const double* sub,
                      const std::uint32_t* eu, const std::uint32_t* ev,
                      double* out, std::size_t n);

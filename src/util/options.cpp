@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace lps {
 
@@ -50,6 +51,16 @@ std::int64_t parse_int_value(const std::string& key, const std::string& v) {
   } catch (const std::exception&) {
     throw std::invalid_argument("bad integer for '" + key + "': '" + v + "'");
   }
+}
+
+std::uint64_t parse_count_value(const std::string& key, const std::string& v,
+                                std::uint64_t max) {
+  const std::int64_t n = parse_int_value(key, v);
+  if (n < 0 || static_cast<std::uint64_t>(n) > max) {
+    throw std::invalid_argument("bad count for '" + key + "': '" + v +
+                                "' (expected 0.." + std::to_string(max) + ")");
+  }
+  return static_cast<std::uint64_t>(n);
 }
 
 double parse_double_value(const std::string& key, const std::string& v) {
@@ -143,6 +154,14 @@ std::int64_t Options::get_int(const std::string& key,
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   return parse_int_value("--" + key, it->second);
+}
+
+std::uint64_t Options::get_count(const std::string& key,
+                                std::uint64_t fallback,
+                                std::uint64_t max) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  return parse_count_value("--" + key, it->second, max);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {

@@ -19,6 +19,10 @@ std::map<std::string, std::string> parse_kv_list(const std::string& spec);
 /// Scalar parsers shared by Options and api::SolverConfig; `key` only
 /// names the offender in the error message.
 std::int64_t parse_int_value(const std::string& key, const std::string& v);
+/// A count (threads, shards, budgets): an integer in [0, max]. Negative
+/// or oversized values throw instead of wrapping when cast to unsigned.
+std::uint64_t parse_count_value(const std::string& key, const std::string& v,
+                                std::uint64_t max);
 double parse_double_value(const std::string& key, const std::string& v);
 bool parse_bool_value(const std::string& key, const std::string& v);
 
@@ -59,6 +63,8 @@ class Options {
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  std::uint64_t get_count(const std::string& key, std::uint64_t fallback,
+                          std::uint64_t max = UINT64_MAX) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 

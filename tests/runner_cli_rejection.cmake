@@ -86,6 +86,25 @@ expect_reject(--generator path:n=8 --solver greedy_mcm --dynamic greedy
 expect_reject(--generator path:n=8 --solver greedy_mcm
               --dynamic nosuchmaintainer
               --dynamic-stream churn:n=64,m0=64,updates=16)
+# Count flags: negative or non-integer values are rejected, not wrapped
+# (--threads -1 would ask the pool for 2^32-1 workers, --shards -1 would
+# silently become the 4096 clamp); so is a negative shards= config key.
+expect_reject(--generator er:n=64,deg=2 --solver israeli_itai --threads -1)
+expect_reject(--generator er:n=64,deg=2 --solver israeli_itai --threads abc)
+expect_reject(--generator er:n=64,deg=2 --solver israeli_itai --shards -1)
+expect_reject(--generator er:n=64,deg=2 --solver israeli_itai
+              --shards 4294967296)
+expect_reject(--generator er:n=64,deg=2 --solver israeli_itai
+              --config shards=-1)
+expect_reject(--generator er:n=64,deg=2 --solver israeli_itai
+              --lca auto --lca-queries -1)
+expect_reject(--generator er:n=64,deg=2 --solver israeli_itai
+              --lca auto --lca-cache -1)
+expect_reject(--generator path:n=8 --solver greedy_mcm --dynamic greedy
+              --dynamic-stream churn:n=64,m0=64,updates=16
+              --dynamic-checkpoints -1)
+expect_reject(--generator er:n=64,deg=2 --solver israeli_itai
+              --stall-timeout-ms -1)
 
 # And the contract's other half: well-formed specs still run.
 expect_accept(--generator path:n=8 --solver greedy_mcm --oracle none

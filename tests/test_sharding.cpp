@@ -7,8 +7,10 @@
 // (which never see the engine) still agree with sharded global runs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,6 +22,7 @@
 #include "lca/oracle.hpp"
 #include "runtime/shard.hpp"
 #include "runtime/thread_pool.hpp"
+#include "util/rng.hpp"
 
 namespace lps {
 namespace {
@@ -57,6 +60,52 @@ TEST(Sharding, ShardsAndThreadsComposeBitIdentically) {
                        std::string(c.solver) + " shards=" +
                            std::to_string(shards) + " threads=4 vs 1/seq");
     }
+  }
+}
+
+// Solver outputs pinned across commits: a digest of the matching plus
+// the message accounting for every engine client, default shard plan,
+// sequential. Refactors of the engine or the kernels must keep these
+// constants; a change that alters a solver's output on purpose updates
+// them and says why.
+struct PinnedOutput {
+  const char* solver;
+  std::uint64_t matching_digest;
+  std::uint64_t rounds;
+  std::uint64_t messages;
+  std::uint64_t total_bits;
+};
+
+constexpr PinnedOutput kPinned[] = {
+    {"israeli_itai", 0x9324740240a774adULL, 36, 16959, 135672},
+    {"bipartite_mcm", 0x991799a5ffbd65d8ULL, 48, 9891, 152819},
+    {"general_mcm", 0x7bea1e98ffbe8bfaULL, 2760, 1801129, 2019940},
+    {"generic_mcm", 0xf7911cef717e3790ULL, 76, 83976, 9785435},
+    {"hoepman_mwm", 0x33ba50ccd59b3e82ULL, 9, 11199, 22398},
+    {"class_mwm", 0x5049e5ba436403d4ULL, 56, 30660, 271884},
+    {"weighted_mwm", 0xec4d55121a2ba8aaULL, 161, 68895, 2588092},
+    {"pipelined_max", 0x22ac51faabc8ff7fULL, 125, 4095, 32760},
+};
+
+std::uint64_t matching_digest(const Matching& m) {
+  std::uint64_t h = splitmix64(m.size());
+  for (NodeId v = 0; v < m.num_nodes(); ++v) {
+    h = splitmix64(h ^ m.matched_edge(v));
+  }
+  return h;
+}
+
+TEST(Sharding, OutputsMatchPinnedConstants) {
+  static_assert(std::size(kPinned) == std::size(kEngineCases));
+  for (std::size_t i = 0; i < std::size(kEngineCases); ++i) {
+    const ShardCase& c = kEngineCases[i];
+    const PinnedOutput& pin = kPinned[i];
+    ASSERT_EQ(std::string(c.solver), pin.solver);
+    const SolveResult r = solve_with(c, /*shards=*/0, nullptr);
+    EXPECT_EQ(matching_digest(r.matching), pin.matching_digest) << c.solver;
+    EXPECT_EQ(r.stats.rounds, pin.rounds) << c.solver;
+    EXPECT_EQ(r.stats.messages, pin.messages) << c.solver;
+    EXPECT_EQ(r.stats.total_bits, pin.total_bits) << c.solver;
   }
 }
 
@@ -126,11 +175,9 @@ TEST(ShardPlan, WidthAndCoverage) {
 
 TEST(CacheDetect, FallbackWhenSysfsAbsent) {
   // No sysfs (containers, non-Linux): every field keeps its conservative
-  // default — 32 KiB L1d with 64-byte lines is the floor the SIMD block
-  // sizing assumes.
+  // default.
   const CacheInfo info = detect_cache_at("/nonexistent/lps-cache-test");
   EXPECT_EQ(info.l1d_bytes, std::size_t{32} << 10);
-  EXPECT_EQ(info.line_bytes, std::size_t{64});
   EXPECT_EQ(info.l2_bytes, std::size_t{1} << 20);
   EXPECT_EQ(info.l3_bytes, std::size_t{8} << 20);
 }
@@ -149,12 +196,10 @@ TEST(CacheDetect, ReadsSyntheticSysfs) {
   write("index0", "level", "1");
   write("index0", "type", "Instruction");
   write("index0", "size", "64K");
-  write("index0", "coherency_line_size", "128");
-  // index1: L1 Data 48K, 64-byte lines.
+  // index1: L1 Data 48K.
   write("index1", "level", "1");
   write("index1", "type", "Data");
   write("index1", "size", "48K");
-  write("index1", "coherency_line_size", "64");
   // index2/index3: L2/L3.
   write("index2", "level", "2");
   write("index2", "type", "Unified");
@@ -165,7 +210,6 @@ TEST(CacheDetect, ReadsSyntheticSysfs) {
 
   const CacheInfo info = detect_cache_at(root.string());
   EXPECT_EQ(info.l1d_bytes, std::size_t{48} << 10);
-  EXPECT_EQ(info.line_bytes, std::size_t{64});
   EXPECT_EQ(info.l2_bytes, std::size_t{2048} << 10);
   EXPECT_EQ(info.l3_bytes, std::size_t{16} << 20);
   fs::remove_all(root);

@@ -1,43 +1,27 @@
-// Two guarantees for runtime/simd.hpp (DESIGN.md §15):
-//
-//  1. Kernel identity: every helper, at whatever level the host
-//     dispatches to, matches a naive scalar reference bit-for-bit on
-//     the boundary lengths (0, 1, width-1, width, width+1 for every
-//     vector width in play) and on unaligned slices — the cases where
-//     head/tail handling and masked lanes go wrong.
-//  2. Execution identity: all 8 engine-backed solvers produce
-//     bit-identical results scalar-forced vs auto-dispatched, across
-//     shard counts {1, 4, auto}. SIMD is an implementation detail of
-//     the solvers, never an observable one.
+// Kernel contract for runtime/simd.hpp (DESIGN.md §15): every helper
+// matches a naive reference bit-for-bit on the boundary lengths (0, 1,
+// around every vector width, around the 256-byte scan block) and on
+// unaligned slices — the cases where vectorized head/tail handling goes
+// wrong — and never writes past `n`.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "engine_cases.hpp"
 #include "runtime/simd.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
 namespace {
 
-using test_support::expect_identical;
-using test_support::kEngineCases;
-using test_support::solve_with;
-
-/// Pin or unpin the scalar path for one scope; always restores auto.
-struct ScopedScalar {
-  explicit ScopedScalar(bool on) { simd::force_scalar(on); }
-  ~ScopedScalar() { simd::force_scalar(false); }
-};
-
-// The widest vector path processes 32 bytes (AVX2) per step and the f64
-// kernels 4 lanes; cover every boundary around both, a zero, a one, and
-// lengths long enough to span several blocks.
-const std::vector<std::size_t> kLengths = {0,  1,  3,  4,  5,  7,  8,
-                                           15, 16, 17, 31, 32, 33, 63,
-                                           64, 65, 255, 256, 1027};
+// Cover every boundary around the vector widths the compiler may pick
+// (up to 64 bytes, 8 f64 lanes), a zero, a one, and the edges of the
+// byte scans' 256-byte blocks: one block, one block plus a tail, two
+// blocks, and lengths spanning several.
+const std::vector<std::size_t> kLengths = {
+    0,  1,  3,  4,  5,   7,   8,   15,  16,  17,  31,  32,  33,
+    63, 64, 65, 255, 256, 257, 511, 512, 513, 1027};
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, Rng& rng,
                                        std::uint8_t values) {
@@ -55,11 +39,11 @@ bool ref_any_eq(const std::uint8_t* p, std::size_t n, std::uint8_t v) {
   return false;
 }
 
-std::size_t ref_count_eq(const std::uint8_t* p, std::size_t n,
-                         std::uint8_t v) {
-  std::size_t c = 0;
-  for (std::size_t i = 0; i < n; ++i) c += p[i] == v ? 1 : 0;
-  return c;
+bool ref_any_ne(const std::uint8_t* p, std::size_t n, std::uint8_t v) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (p[i] != v) return true;
+  }
+  return false;
 }
 
 std::size_t ref_argmax(const double* w, const std::uint32_t* id,
@@ -75,21 +59,6 @@ std::size_t ref_argmax(const double* w, const std::uint32_t* id,
   return best;
 }
 
-TEST(SimdTest, LevelReporting) {
-  EXPECT_GE(static_cast<int>(simd::detected_level()),
-            static_cast<int>(simd::Level::kScalar));
-  {
-    ScopedScalar scalar(true);
-    EXPECT_EQ(simd::active_level(), simd::Level::kScalar);
-  }
-  EXPECT_EQ(simd::active_level(), simd::detected_level());
-  EXPECT_NE(std::string(simd::level_name(simd::active_level())), "");
-  // Block size: clamped, line-aligned, usable as a loop granule.
-  EXPECT_GE(simd::block_bytes(), std::size_t{4} << 10);
-  EXPECT_LE(simd::block_bytes(), std::size_t{1} << 20);
-  EXPECT_EQ(simd::block_bytes() % 64, 0u);
-}
-
 TEST(SimdTest, ByteKernelsMatchReference) {
   Rng rng(2024);
   for (const std::size_t n : kLengths) {
@@ -98,39 +67,40 @@ TEST(SimdTest, ByteKernelsMatchReference) {
     for (std::size_t shift = 0; shift < 3; ++shift) {
       const std::uint8_t* p = buf.data() + shift;
       for (std::uint8_t v = 0; v < 3; ++v) {
-        const bool any = ref_any_eq(p, n, v);
-        const std::size_t cnt = ref_count_eq(p, n, v);
-        for (const bool scalar : {false, true}) {
-          ScopedScalar pin(scalar);
-          const std::string label = "n=" + std::to_string(n) +
-                                    " shift=" + std::to_string(shift) +
-                                    " v=" + std::to_string(v) +
-                                    (scalar ? " scalar" : " auto");
-          EXPECT_EQ(simd::any_eq_u8(p, n, v), any) << label;
-          // any_ne(v) == exists a byte != v.
-          EXPECT_EQ(simd::any_ne_u8(p, n, v), cnt != n) << label;
-          EXPECT_EQ(simd::count_eq_u8(p, n, v), cnt) << label;
-          std::vector<std::uint8_t> mask(n + 1, 0xee);
-          simd::mask_eq_u8(p, n, v, mask.data());
-          for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(mask[i], p[i] == v ? 1 : 0) << label << " i=" << i;
-          }
-          EXPECT_EQ(mask[n], 0xee) << label << " (overwrote past end)";
-        }
+        const std::string label = "n=" + std::to_string(n) +
+                                  " shift=" + std::to_string(shift) +
+                                  " v=" + std::to_string(v);
+        EXPECT_EQ(simd::any_eq_u8(p, n, v), ref_any_eq(p, n, v)) << label;
+        EXPECT_EQ(simd::any_ne_u8(p, n, v), ref_any_ne(p, n, v)) << label;
       }
     }
   }
 }
 
-TEST(SimdTest, CountSaturationSafe) {
-  // The SSE2/AVX2 counters accumulate per-byte sums that must be
-  // flushed before 255 vectors; an all-match megabyte catches a missed
-  // flush as a wrong count.
-  std::vector<std::uint8_t> ones(1 << 20, 7);
-  for (const bool scalar : {false, true}) {
-    ScopedScalar pin(scalar);
-    EXPECT_EQ(simd::count_eq_u8(ones.data(), ones.size(), 7), ones.size());
-    EXPECT_EQ(simd::count_eq_u8(ones.data(), ones.size(), 8), 0u);
+TEST(SimdTest, ByteScansFindALoneHitAtBlockEdges) {
+  // One differing byte in an otherwise uniform buffer, placed where the
+  // blocked scan changes loops: the last byte of a full 256-byte block,
+  // the first byte after it, and the last byte of the tail after the
+  // last full block.
+  for (const std::size_t n : {256u, 257u, 512u, 513u, 700u}) {
+    for (std::size_t shift = 0; shift < 2; ++shift) {
+      std::vector<std::size_t> spots = {255, n - 1};
+      if (n > 256) spots.push_back(256);
+      if (n > 512) spots.push_back(511);
+      for (const std::size_t hit : spots) {
+        const std::string label = "n=" + std::to_string(n) +
+                                  " shift=" + std::to_string(shift) +
+                                  " hit=" + std::to_string(hit);
+        std::vector<std::uint8_t> buf(n + shift, 1);
+        std::uint8_t* p = buf.data() + shift;
+        p[hit] = 2;
+        EXPECT_TRUE(simd::any_eq_u8(p, n, 2)) << label;
+        EXPECT_TRUE(simd::any_ne_u8(p, n, 1)) << label;
+        // Just short of the hit: nothing to find.
+        EXPECT_FALSE(simd::any_eq_u8(p, hit, 2)) << label;
+        EXPECT_FALSE(simd::any_ne_u8(p, hit, 1)) << label;
+      }
+    }
   }
 }
 
@@ -153,15 +123,12 @@ TEST(SimdTest, MaskPositiveMatchesReference) {
         ref_mask[i] = p[i] > 0.0 ? 1 : 0;
         ref_cnt += ref_mask[i];
       }
-      for (const bool scalar : {false, true}) {
-        ScopedScalar pin(scalar);
-        std::vector<std::uint8_t> mask(n + 1, 0xee);
-        EXPECT_EQ(simd::mask_positive_f64(p, n, mask.data()), ref_cnt);
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(mask[i], ref_mask[i]) << "n=" << n << " i=" << i;
-        }
-        EXPECT_EQ(mask[n], 0xee);
+      std::vector<std::uint8_t> mask(n + 1, 0xee);
+      EXPECT_EQ(simd::mask_positive_f64(p, n, mask.data()), ref_cnt);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(mask[i], ref_mask[i]) << "n=" << n << " i=" << i;
       }
+      EXPECT_EQ(mask[n], 0xee) << "n=" << n << " (overwrote past end)";
     }
   }
 }
@@ -183,22 +150,15 @@ TEST(SimdTest, ArgmaxMatchesReference) {
       const std::size_t ref =
           ref_argmax(w.data() + shift, id.data() + shift,
                      alive.data() + shift, n);
-      for (const bool scalar : {false, true}) {
-        ScopedScalar pin(scalar);
-        EXPECT_EQ(simd::argmax_masked_f64(w.data() + shift, id.data() + shift,
-                                          alive.data() + shift, n),
-                  ref)
-            << "n=" << n << " shift=" << shift << " scalar=" << scalar;
-      }
+      EXPECT_EQ(simd::argmax_masked_f64(w.data() + shift, id.data() + shift,
+                                        alive.data() + shift, n),
+                ref)
+          << "n=" << n << " shift=" << shift;
     }
-    // All-dead mask => npos on every path.
+    // All-dead mask => npos.
     std::vector<std::uint8_t> dead(n, 0);
-    for (const bool scalar : {false, true}) {
-      ScopedScalar pin(scalar);
-      EXPECT_EQ(
-          simd::argmax_masked_f64(w.data(), id.data(), dead.data(), n),
-          simd::npos);
-    }
+    EXPECT_EQ(simd::argmax_masked_f64(w.data(), id.data(), dead.data(), n),
+              simd::npos);
   }
 }
 
@@ -222,49 +182,17 @@ TEST(SimdTest, Sub2GatherBitIdentical) {
       for (std::size_t i = 0; i < n; ++i) {
         ref[i] = w[shift + i] - sub[eu[shift + i]] - sub[ev[shift + i]];
       }
-      for (const bool scalar : {false, true}) {
-        ScopedScalar pin(scalar);
-        std::vector<double> out(n + 1, -777.0);
-        simd::sub2_gather_f64(w.data() + shift, sub.data(),
-                              eu.data() + shift, ev.data() + shift,
-                              out.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-          // Bit comparison, not tolerance: the contract is exactness.
-          ASSERT_EQ(out[i], ref[i]) << "n=" << n << " i=" << i;
-        }
-        EXPECT_EQ(out[n], -777.0);
+      std::vector<double> out(n + 1, -777.0);
+      simd::sub2_gather_f64(w.data() + shift, sub.data(), eu.data() + shift,
+                            ev.data() + shift, out.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        // Bit comparison, not tolerance: the contract is exactness.
+        ASSERT_EQ(out[i], ref[i]) << "n=" << n << " i=" << i;
       }
+      EXPECT_EQ(out[n], -777.0) << "n=" << n << " (overwrote past end)";
     }
   }
 }
-
-// ---- execution identity: scalar-forced vs auto across the client set ----
-
-class SimdEngineIdentityTest
-    : public ::testing::TestWithParam<test_support::ShardCase> {};
-
-TEST_P(SimdEngineIdentityTest, ScalarVsVectorizedAcrossShards) {
-  const test_support::ShardCase& c = GetParam();
-  for (const unsigned shards : {1u, 4u, 0u}) {
-    api::SolveResult vec = [&] {
-      ScopedScalar pin(false);
-      return solve_with(c, shards, nullptr);
-    }();
-    api::SolveResult sca = [&] {
-      ScopedScalar pin(true);
-      return solve_with(c, shards, nullptr);
-    }();
-    expect_identical(vec, sca,
-                     std::string(c.solver) + " shards=" +
-                         std::to_string(shards) + " scalar-vs-simd");
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllClients, SimdEngineIdentityTest, ::testing::ValuesIn(kEngineCases),
-    [](const ::testing::TestParamInfo<test_support::ShardCase>& info) {
-      return std::string(info.param.solver);
-    });
 
 }  // namespace
 }  // namespace lps

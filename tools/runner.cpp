@@ -27,9 +27,11 @@
 // config, fault plan, dynamic stream, maintainer config) before any
 // solve work, so rejection is fast and uniform across legs. A stall
 // abort (--stall-abort) exits with telemetry::kWatchdogExitCode (86).
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -37,6 +39,8 @@
 #include "util/options.hpp"
 
 namespace {
+
+constexpr std::uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
 
 void usage() {
   std::printf(
@@ -99,53 +103,55 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  spec.config = opts.get("config", "");
-  spec.instance_seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  spec.solver_seed =
-      static_cast<std::uint64_t>(opts.get_int("solver-seed", 1));
-  spec.threads = static_cast<unsigned>(opts.get_int("threads", 1));
-  spec.shards = static_cast<unsigned>(opts.get_int("shards", 0));
-  spec.oracle = opts.get("oracle", "auto");
-  spec.feed_oracle = opts.get_bool("feed-oracle", false);
-  spec.lca = opts.get("lca", "");
-  spec.lca_queries =
-      static_cast<std::uint64_t>(opts.get_int("lca-queries", 0));
-  spec.lca_cache = static_cast<std::uint64_t>(opts.get_int("lca-cache", 0));
-  spec.dynamic = opts.get("dynamic", "");
-  spec.dynamic_stream = opts.get("dynamic-stream", "");
-  spec.dynamic_config = opts.get("dynamic-config", "");
-  spec.dynamic_checkpoints =
-      static_cast<std::uint64_t>(opts.get_int("dynamic-checkpoints", 8));
-  spec.faults = opts.get("faults", "");
-  spec.trace = opts.get("trace", "");
-  spec.events = opts.get("events", "");
-  spec.telemetry = !opts.get_bool("no-telemetry", false);
-  const long long monitor_ms = opts.get_int("monitor-ms", 0);
-  spec.monitor_ms = monitor_ms > 0 ? static_cast<unsigned>(monitor_ms)
-                    : opts.get_bool("monitor", false) ? 1000u
-                                                      : 0u;
-  spec.stall_timeout_ms =
-      static_cast<unsigned>(opts.get_int("stall-timeout-ms", 0));
-  spec.stall_abort = opts.get_bool("stall-abort", false);
-  spec.ledger = opts.get("ledger", "");
-
-  if (debug) {
-    std::fprintf(stderr,
-                 "runner: spec: generator=%s solver=%s config='%s' "
-                 "seed=%llu solver-seed=%llu threads=%u shards=%u "
-                 "oracle=%s faults='%s' dynamic='%s' trace='%s' "
-                 "events='%s' monitor-ms=%u stall-timeout-ms=%u\n",
-                 spec.generator.c_str(), spec.solver.c_str(),
-                 spec.config.c_str(),
-                 static_cast<unsigned long long>(spec.instance_seed),
-                 static_cast<unsigned long long>(spec.solver_seed),
-                 spec.threads, spec.shards, spec.oracle.c_str(),
-                 spec.faults.c_str(), spec.dynamic.c_str(),
-                 spec.trace.c_str(), spec.events.c_str(), spec.monitor_ms,
-                 spec.stall_timeout_ms);
-  }
-
+  // Flag values are validated here and spec strings in run_one; either
+  // way a malformed input is one diagnostic line and exit 2.
   try {
+    spec.config = opts.get("config", "");
+    spec.instance_seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
+    spec.solver_seed =
+        static_cast<std::uint64_t>(opts.get_int("solver-seed", 1));
+    spec.threads =
+        static_cast<unsigned>(opts.get_count("threads", 1, kMaxUnsigned));
+    spec.shards =
+        static_cast<unsigned>(opts.get_count("shards", 0, kMaxUnsigned));
+    spec.oracle = opts.get("oracle", "auto");
+    spec.feed_oracle = opts.get_bool("feed-oracle", false);
+    spec.lca = opts.get("lca", "");
+    spec.lca_queries = opts.get_count("lca-queries", 0);
+    spec.lca_cache = opts.get_count("lca-cache", 0);
+    spec.dynamic = opts.get("dynamic", "");
+    spec.dynamic_stream = opts.get("dynamic-stream", "");
+    spec.dynamic_config = opts.get("dynamic-config", "");
+    spec.dynamic_checkpoints = opts.get_count("dynamic-checkpoints", 8);
+    spec.faults = opts.get("faults", "");
+    spec.trace = opts.get("trace", "");
+    spec.events = opts.get("events", "");
+    spec.telemetry = !opts.get_bool("no-telemetry", false);
+    const long long monitor_ms = opts.get_int("monitor-ms", 0);
+    spec.monitor_ms = monitor_ms > 0 ? static_cast<unsigned>(monitor_ms)
+                      : opts.get_bool("monitor", false) ? 1000u
+                                                        : 0u;
+    spec.stall_timeout_ms = static_cast<unsigned>(
+        opts.get_count("stall-timeout-ms", 0, kMaxUnsigned));
+    spec.stall_abort = opts.get_bool("stall-abort", false);
+    spec.ledger = opts.get("ledger", "");
+
+    if (debug) {
+      std::fprintf(stderr,
+                   "runner: spec: generator=%s solver=%s config='%s' "
+                   "seed=%llu solver-seed=%llu threads=%u shards=%u "
+                   "oracle=%s faults='%s' dynamic='%s' trace='%s' "
+                   "events='%s' monitor-ms=%u stall-timeout-ms=%u\n",
+                   spec.generator.c_str(), spec.solver.c_str(),
+                   spec.config.c_str(),
+                   static_cast<unsigned long long>(spec.instance_seed),
+                   static_cast<unsigned long long>(spec.solver_seed),
+                   spec.threads, spec.shards, spec.oracle.c_str(),
+                   spec.faults.c_str(), spec.dynamic.c_str(),
+                   spec.trace.c_str(), spec.events.c_str(), spec.monitor_ms,
+                   spec.stall_timeout_ms);
+    }
+
     const lps::api::RunResult result = lps::api::run_one(spec);
     std::cout << result.to_json() << "\n";
     const std::string dir = opts.get("json-dir", "");
@@ -178,9 +184,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "runner: watchdog reported a stall (see dump)\n");
     }
   } catch (const std::invalid_argument& e) {
-    // Every malformed spec string — generator, solver name/config,
-    // fault plan, dynamic stream, maintainer config — lands here via
-    // run_one's eager validation: one diagnostic line, exit 2.
+    // Every malformed flag value or spec string — generator, solver
+    // name/config, fault plan, dynamic stream, maintainer config — lands
+    // here before any solve work: one diagnostic line, exit 2.
     std::fprintf(stderr, "runner: invalid spec: %s\n", e.what());
     return 2;
   } catch (const std::exception& e) {
