@@ -145,10 +145,6 @@ TraceOverheadResult measure_trace_overhead(NodeId n, double avg_deg,
 void print_phase_breakdown(NodeId n, double avg_deg) {
   const bool prev = telemetry::enabled();
   telemetry::set_enabled(true);
-  if (!telemetry::enabled()) {
-    std::printf("  (telemetry compiled out — no phase breakdown)\n");
-    return;
-  }
   telemetry::EngineMetrics& em = telemetry::EngineMetrics::get();
   const std::uint64_t rounds0 = em.rounds.value();
   telemetry::HistogramSnapshot round = em.round_ns.snapshot();
@@ -502,14 +498,6 @@ int run_perf_gate(const std::string& baseline_path) {
 /// within 5% of untraced rounds/sec. Same best-of-3 discipline and
 /// LPS_BENCH_GATE_SKIP override as the perf gate.
 int run_trace_overhead(unsigned nexp) {
-  telemetry::set_enabled(true);
-  if (!telemetry::enabled()) {
-    std::printf(
-        "trace overhead: telemetry compiled out (LPS_TELEMETRY=0) — "
-        "nothing to gate\n");
-    return 0;
-  }
-  telemetry::set_enabled(false);
   const NodeId n = NodeId{1} << nexp;
   const TraceOverheadResult r = measure_trace_overhead(n, 4.0, 0.3, 3);
   std::printf("untraced ");
@@ -544,14 +532,6 @@ int run_trace_overhead(unsigned nexp) {
 /// override as the other gates.
 int run_obs_overhead(unsigned nexp) {
   telemetry::EventLog& elog = telemetry::EventLog::global();
-  elog.set_recording(true);
-  if (!elog.recording()) {
-    std::printf(
-        "obs overhead: telemetry compiled out (LPS_TELEMETRY=0) — "
-        "nothing to gate\n");
-    return 0;
-  }
-  elog.set_recording(false);
   const NodeId n = NodeId{1} << nexp;
   EngineRunResult off{};
   EngineRunResult on{};

@@ -469,9 +469,6 @@ TelemetrySummary summarize_telemetry(const TelemetrySnap& before,
                                      const TelemetrySnap& after_solve,
                                      const TelemetrySnap& end) {
   TelemetrySummary t;
-  // Compiled out (-DLPS_TELEMETRY=0) set_enabled is a no-op and every
-  // delta below is zero; report the block as disabled rather than as a
-  // run that mysteriously measured nothing.
   t.enabled = telemetry::enabled();
   t.rounds = after_solve.rounds - before.rounds;
   t.messages_delivered = after_solve.messages - before.messages;
@@ -590,13 +587,6 @@ RunResult run_one(const RunSpec& spec) {
   // same error path as generator and config typos, so the runner's
   // one-line-diagnostic contract holds for fault specs too.
   const faults::FaultPlan fault_plan = faults::make_fault_plan(spec.faults);
-#if !LPS_FAULTS
-  if (fault_plan.any()) {
-    throw std::invalid_argument("run_one: fault plan '" + fault_plan.name +
-                                "' requested but the library was built with "
-                                "-DLPS_FAULTS=0");
-  }
-#endif
   if (fault_plan.message_faults()) {
     const std::vector<std::string> keys = solver.config_keys();
     if (std::find(keys.begin(), keys.end(), "faults") == keys.end()) {

@@ -304,10 +304,8 @@ class SyncNetwork {
     pending_activations_.clear();
     step_all_ = false;
     initial_restricted_ = false;
-#if LPS_FAULTS
     delayed_.clear();
     dup_buf_.clear();
-#endif
     pending_ = 0;
     delivered_last_round_ = 0;
     delivered_total_ = 0;
@@ -350,10 +348,8 @@ class SyncNetwork {
   /// Faults apply at the channel exchange: sends still succeed and are
   /// metered, but delivery may drop, duplicate, or delay the message.
   /// Fates are a pure function of (injector seed, channel, round), so
-  /// executions stay bit-identical across thread and shard counts. A
-  /// no-op when the library is built with -DLPS_FAULTS=0.
+  /// executions stay bit-identical across thread and shard counts.
   void set_message_faults(faults::MessageFaultInjector* injector) noexcept {
-#if LPS_FAULTS
     faults_ = injector;
     seq_on_ = injector != nullptr && injector->message_faults();
     // The seq column is maintained only while message faults are on; if
@@ -366,9 +362,6 @@ class SyncNetwork {
         w.send_seq.resize(w.send_to.size(), sent_round);
       }
     }
-#else
-    (void)injector;
-#endif
   }
 
   const NetStats& stats() const noexcept { return stats_; }
@@ -394,8 +387,7 @@ class SyncNetwork {
     if (epoch() == kNeverEpoch) rebase_epochs();
     ++stats_.rounds;
 
-    // Telemetry gates, resolved once per round: two relaxed loads when
-    // compiled in, constexpr false (whole blocks dead) when compiled out.
+    // Telemetry gates, resolved once per round: two relaxed loads.
     const bool tmetrics = telemetry::enabled();
     telemetry::Tracer& tracer = telemetry::Tracer::global();
     const bool ttrace = tracer.recording();
@@ -475,11 +467,9 @@ class SyncNetwork {
     stats_.messages += sent;
     stats_.total_bits += bits;
     pending_ = sent;
-#if LPS_FAULTS
     // Held-back messages count as in flight: run(stop_when_silent) must
     // not declare the network silent while deliveries are still due.
     pending_ += delayed_.size();
-#endif
     delivered_total_ += delivered_last_round_;
     ++round_;
 
@@ -644,9 +634,7 @@ class SyncNetwork {
     w.stats.note_message(meter_(msg));
     w.send_to.push_back(s.adj_to[arc]);
     w.send_key.push_back(am.slot);
-#if LPS_FAULTS
     if (seq_on_) w.send_seq.push_back(static_cast<std::uint32_t>(round_));
-#endif
     w.send_msg.push_back(std::move(msg));
   }
 
@@ -665,9 +653,7 @@ class SyncNetwork {
       w.stats.note_message(meter_(msg));
       w.send_to.push_back(s.adj_to[arc]);
       w.send_key.push_back(am.slot);
-#if LPS_FAULTS
       if (seq_on_) w.send_seq.push_back(static_cast<std::uint32_t>(round_));
-#endif
       w.send_msg.push_back(msg);
     }
   }
@@ -686,7 +672,6 @@ class SyncNetwork {
     }
   }
 
-#if LPS_FAULTS
   /// A message pulled out of the normal flow by a fault (delayed, or a
   /// duplicate awaiting re-injection). Cold path, so a plain struct.
   struct PendingRec {
@@ -779,7 +764,6 @@ class SyncNetwork {
       delayed_.resize(keep);
     }
   }
-#endif
 
   /// Put one inbox range [off, off + cnt) of the delivery columns into
   /// incidence order: ascending key, ties (possible only under message
@@ -856,17 +840,13 @@ class SyncNetwork {
     telemetry::Tracer& tracer = telemetry::Tracer::global();
     telemetry::EventLog& elog = telemetry::EventLog::global();
     const bool tevents = elog.recording();
-#if LPS_FAULTS
-    // Fault seam: one branch per round when compiled in but off; the
+    // Fault seam: one branch per round while no injector is attached; the
     // serial pass mutates only per-worker send columns plus the delayed
     // queue, before any counting begins.
     if (faults_ != nullptr && faults_->message_faults()) {
       inject_message_faults();
     }
     const bool with_seq = seq_on_;
-#else
-    constexpr bool with_seq = false;
-#endif
     std::size_t total = 0;
     for (const PerWorker& w : workers_) total += w.send_to.size();
     dlv_key_.clear();
@@ -962,7 +942,6 @@ class SyncNetwork {
       for (NodeId r : recv) {
         sort_inbox(inbox_meta_[r].off, inbox_meta_[r].cnt, with_seq);
       }
-#if LPS_FAULTS
       if (faults_ != nullptr && faults_->reorder()) {
         // Deterministic per-(receiver, round) Fisher-Yates over the
         // sorted inbox: the permutation depends on neither thread nor
@@ -981,7 +960,6 @@ class SyncNetwork {
           faults_->note_reordered();
         }
       }
-#endif
       if (tel) {
         const std::uint64_t t_s2 = telemetry::now_ns();
         if (tmetrics) {
@@ -1069,12 +1047,10 @@ class SyncNetwork {
 
   std::vector<PerWorker> workers_;
 
-#if LPS_FAULTS
   faults::MessageFaultInjector* faults_ = nullptr;  // not owned
   bool seq_on_ = false;  // maintain seq columns (message faults active)
   std::vector<PendingRec> delayed_;
   std::vector<PendingRec> dup_buf_;
-#endif
 
   std::uint64_t round_ = 0;
   std::uint32_t epoch_base_ = 0;  // epoch() of round 0 (see kNeverEpoch)

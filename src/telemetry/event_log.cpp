@@ -52,11 +52,7 @@ EventLog& EventLog::global() {
 }
 
 void EventLog::set_recording(bool on) noexcept {
-#if LPS_TELEMETRY
   recording_.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 void EventLog::reset() {

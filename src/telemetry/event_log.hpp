@@ -19,9 +19,6 @@
 // counter, and merge-on-write. Emission never feeds back into
 // execution — an engine run with the event log on is bit-identical to
 // one with it off (CTest-enforced across all 8 engine clients).
-//
-// Kill switch: compiled out (-DLPS_TELEMETRY=0) recording() is
-// constexpr false and every emission site is dead code.
 #pragma once
 
 #include <array>
@@ -77,14 +74,10 @@ class EventLog {
  public:
   static EventLog& global();
 
-#if LPS_TELEMETRY
   bool recording() const noexcept {
     return recording_.load(std::memory_order_relaxed);
   }
-#else
-  constexpr bool recording() const noexcept { return false; }
-#endif
-  /// Start/stop event collection (no-op when compiled out). Starting
+  /// Start/stop event collection. Starting
   /// does NOT clear prior events; call reset() for a fresh log.
   void set_recording(bool on) noexcept;
 
@@ -128,9 +121,7 @@ class EventLog {
   EventLog() = default;
   Buffer& local_buffer();
 
-#if LPS_TELEMETRY
   std::atomic<bool> recording_{false};
-#endif
   std::atomic<std::size_t> total_{0};
   std::atomic<std::size_t> dropped_{0};
   std::atomic<std::size_t> capacity_{1u << 20};

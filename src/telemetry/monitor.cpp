@@ -17,11 +17,7 @@ ProgressBoard& ProgressBoard::global() {
 }
 
 void ProgressBoard::set_publishing(bool on) noexcept {
-#if LPS_TELEMETRY
   publishing_.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 void ProgressBoard::publish(std::uint64_t round, std::uint64_t delivered_total,
@@ -61,12 +57,10 @@ bool ProgressBoard::read(ProgressSnapshot& out) const noexcept {
 }
 
 Monitor::Monitor(MonitorOptions opts) : opts_(std::move(opts)) {
-#if LPS_TELEMETRY
   if (opts_.interval_ms < 10) opts_.interval_ms = 10;
   ProgressBoard::global().set_publishing(true);
   started_ = true;
   thread_ = std::thread([this] { run(); });
-#endif
 }
 
 Monitor::~Monitor() { stop(); }

@@ -18,11 +18,6 @@
 //    deadline, it dumps the event-log tail, the per-shard and
 //    per-worker engine counters, and the board state — then either
 //    aborts the process with kWatchdogExitCode or latches stalled().
-//
-// Compiled out (-DLPS_TELEMETRY=0) the board's publishing() is
-// constexpr false (engine sites are dead code) and Monitor is inert:
-// the constructor starts no thread, so --monitor flags stay accepted
-// but do nothing.
 #pragma once
 
 #include <atomic>
@@ -52,14 +47,10 @@ class ProgressBoard {
  public:
   static ProgressBoard& global();
 
-#if LPS_TELEMETRY
   bool publishing() const noexcept {
     return publishing_.load(std::memory_order_relaxed);
   }
-#else
-  constexpr bool publishing() const noexcept { return false; }
-#endif
-  /// Arm/disarm the board (no-op when compiled out). Monitor arms it on
+  /// Arm/disarm the board. Monitor arms it on
   /// construction; publish() callers gate on publishing() once per round.
   void set_publishing(bool on) noexcept;
 
@@ -84,9 +75,7 @@ class ProgressBoard {
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> active_{0};
   std::atomic<std::uint64_t> heartbeat_{0};
-#if LPS_TELEMETRY
   std::atomic<bool> publishing_{false};
-#endif
 };
 
 struct MonitorOptions {

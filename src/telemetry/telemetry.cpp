@@ -9,16 +9,12 @@
 
 namespace lps::telemetry {
 
-#if LPS_TELEMETRY
 namespace detail {
 std::atomic<bool> g_metrics_enabled{false};
 }
 void set_enabled(bool on) noexcept {
   detail::g_metrics_enabled.store(on, std::memory_order_relaxed);
 }
-#else
-void set_enabled(bool) noexcept {}
-#endif
 
 std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(
@@ -300,11 +296,7 @@ Tracer& Tracer::global() {
 }
 
 void Tracer::set_recording(bool on) noexcept {
-#if LPS_TELEMETRY
   recording_.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 void Tracer::reset() {

@@ -16,11 +16,9 @@
 //    span) and are folded into one Chrome JSON document on write.
 //    Gated by Tracer::recording().
 //
-// Kill switch contract: compiled out (-DLPS_TELEMETRY=0) both switches
-// are constexpr false, so every `if (telemetry::enabled())` block is
-// dead code and the hot loops carry zero branches. Compiled in but off
-// (the default state), each instrumentation site costs one predictable
-// relaxed-load branch and no clock reads.
+// Off contract: both switches start off, and while off each
+// instrumentation site costs one predictable relaxed-load branch and no
+// clock reads.
 //
 // Naming scheme: `<layer>.<quantity>[_<unit>]` — e.g. engine.round_ns,
 // engine.shard_exchange_ns, lca.query_ns, dynamic.update_ns. Span names
@@ -45,15 +43,10 @@
 #include <string>
 #include <vector>
 
-#ifndef LPS_TELEMETRY
-#define LPS_TELEMETRY 1
-#endif
-
 namespace lps::telemetry {
 
-// ------------------------------------------------------- kill switches --
+// ---------------------------------------------------- runtime switches --
 
-#if LPS_TELEMETRY
 namespace detail {
 extern std::atomic<bool> g_metrics_enabled;
 }
@@ -62,11 +55,8 @@ extern std::atomic<bool> g_metrics_enabled;
 inline bool enabled() noexcept {
   return detail::g_metrics_enabled.load(std::memory_order_relaxed);
 }
-#else
-inline constexpr bool enabled() noexcept { return false; }
-#endif
 
-/// Turn metric recording on/off (no-op when compiled out).
+/// Turn metric recording on/off.
 void set_enabled(bool on) noexcept;
 
 /// Monotonic nanoseconds (steady_clock). Only meaningful as a
@@ -283,14 +273,10 @@ class Tracer {
  public:
   static Tracer& global();
 
-#if LPS_TELEMETRY
   bool recording() const noexcept {
     return recording_.load(std::memory_order_relaxed);
   }
-#else
-  constexpr bool recording() const noexcept { return false; }
-#endif
-  /// Start/stop span collection (no-op when compiled out). Starting
+  /// Start/stop span collection. Starting
   /// does NOT clear prior events; call reset() for a fresh trace.
   void set_recording(bool on) noexcept;
 

@@ -95,7 +95,6 @@ TEST(FaultPlan, MalformedPlansAreRejected) {
 
 // ---------------------------------------------- injector determinism --
 
-#if LPS_FAULTS
 TEST(Injector, FatesArePureFunctionsOfSeedChannelRound) {
   const auto inj1 = faults::make_message_injector("chaosmsg:drop=0.2,dup=0.1",
                                                   42);
@@ -124,14 +123,6 @@ TEST(Injector, FatesArePureFunctionsOfSeedChannelRound) {
   EXPECT_GT(c.duplicated, 0u);
   EXPECT_LE(c.dropped + c.duplicated + c.delayed, c.decided);
 }
-#else
-TEST(Injector, FaultOffBuildsNeverBuildAnInjector) {
-  // Spec still validated (see InertAndGraphOnlySpecsYieldNoInjector for
-  // the rejection half), but injection is compiled out.
-  EXPECT_EQ(faults::make_message_injector("chaosmsg:drop=0.2,dup=0.1", 42),
-            nullptr);
-}
-#endif
 
 TEST(Injector, InertAndGraphOnlySpecsYieldNoInjector) {
   EXPECT_EQ(faults::make_message_injector("", 1), nullptr);
@@ -397,7 +388,6 @@ TEST(FaultSession, ScheduleIsAPureFunctionOfTheSeed) {
 
 // ------------------------------------------------- runner integration --
 
-#if LPS_FAULTS
 TEST(RunnerFaults, FaultLegLandsInRunResult) {
   api::RunSpec spec;
   spec.generator = "path:n=2";
@@ -419,17 +409,6 @@ TEST(RunnerFaults, FaultLegLandsInRunResult) {
   EXPECT_FALSE(res.fault_plan.empty());
   EXPECT_NE(res.to_json().find("\"fault_min_ratio\""), std::string::npos);
 }
-#else
-TEST(RunnerFaults, FaultOffBuildsRejectFaultedRuns) {
-  // A fault-off binary must refuse a faulted spec loudly rather than
-  // silently run it fault-free — run configs stay honest across builds.
-  api::RunSpec spec;
-  spec.generator = "er:n=64,deg=4";
-  spec.solver = "israeli_itai";
-  spec.faults = "drop10";
-  EXPECT_THROW(api::run_one(spec), std::invalid_argument);
-}
-#endif
 
 TEST(RunnerFaults, MalformedAndMisdirectedSpecsThrowEagerly) {
   api::RunSpec spec;
@@ -437,13 +416,11 @@ TEST(RunnerFaults, MalformedAndMisdirectedSpecsThrowEagerly) {
   spec.solver = "israeli_itai";
   spec.faults = "bogus:drop=2";
   EXPECT_THROW(api::run_one(spec), std::invalid_argument);
-#if LPS_FAULTS
   spec.faults = "flap1";  // graph faults need the dynamic leg
   EXPECT_THROW(api::run_one(spec), std::invalid_argument);
   spec.faults = "drop10";
   spec.solver = "greedy_mcm";  // no `faults` config key
   EXPECT_THROW(api::run_one(spec), std::invalid_argument);
-#endif
 }
 
 }  // namespace

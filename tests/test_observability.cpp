@@ -35,17 +35,6 @@ namespace {
 
 namespace tel = telemetry;
 
-// Runtime probe for the compile-time kill switch: under
-// -DLPS_TELEMETRY=0 set_recording is a no-op and recording() is
-// constexpr false, so the recording-path tests skip.
-bool telemetry_compiled_in() {
-  tel::EventLog& e = tel::EventLog::global();
-  e.set_recording(true);
-  const bool on = e.recording();
-  e.set_recording(false);
-  return on;
-}
-
 std::filesystem::path fresh_dir(const std::string& tag) {
   const std::filesystem::path dir =
       std::filesystem::path(testing::TempDir()) / ("lps_obs_" + tag);
@@ -98,7 +87,6 @@ TEST(Histogram, EmptyPercentilesAreZero) {
 }
 
 TEST(EventLog, RecordsMergesAndSerializes) {
-  if (!telemetry_compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   tel::EventLog& elog = tel::EventLog::global();
   elog.reset();
   elog.set_recording(true);
@@ -149,7 +137,6 @@ TEST(EventLog, RecordsMergesAndSerializes) {
 }
 
 TEST(EventLog, CapacityCapCountsDrops) {
-  if (!telemetry_compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   tel::EventLog& elog = tel::EventLog::global();
   elog.reset();
   elog.set_capacity(4);
@@ -175,7 +162,7 @@ TEST(RunJson, OmitsPercentileBlocksWithoutRounds) {
   spec.oracle = "none";
   spec.ledger = "off";
   const api::RunResult r = api::run_one(spec);
-  if (!r.telemetry.enabled) GTEST_SKIP() << "telemetry compiled out";
+  ASSERT_TRUE(r.telemetry.enabled);
   EXPECT_EQ(r.telemetry.rounds, 0u);
   const std::string json = r.to_json();
   EXPECT_EQ(json.find("\"p99_ns\""), std::string::npos) << json;
@@ -248,7 +235,6 @@ TEST(Ledger, PathResolutionHonorsDisableTokens) {
 }
 
 TEST(Monitor, WatchdogDumpsTailAndCountersThenLatches) {
-  if (!telemetry_compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   tel::EventLog& elog = tel::EventLog::global();
   elog.reset();
   elog.set_recording(true);
@@ -294,7 +280,6 @@ struct StallMsg {
 using StallNet = SyncNetwork<StallMsg, DefaultBitMeter<StallMsg>>;
 
 TEST(MonitorDeathTest, StalledEngineAbortsWithDistinctExitCode) {
-  if (!telemetry_compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_EXIT(
       {
@@ -329,7 +314,6 @@ TEST(MonitorDeathTest, StalledEngineAbortsWithDistinctExitCode) {
 }
 
 TEST(FaultEvents, EveryCrashHasAMatchingRevive) {
-  if (!telemetry_compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   const std::filesystem::path dir = fresh_dir("fault_events");
   api::RunSpec spec;
   spec.generator = "er:n=256,deg=4";
@@ -341,12 +325,7 @@ TEST(FaultEvents, EveryCrashHasAMatchingRevive) {
   spec.faults = "flap1";
   spec.events = (dir / "events.jsonl").string();
   spec.ledger = "off";
-  api::RunResult r;
-  try {
-    r = api::run_one(spec);
-  } catch (const std::invalid_argument&) {
-    GTEST_SKIP() << "faults compiled out (LPS_FAULTS=0)";
-  }
+  const api::RunResult r = api::run_one(spec);
   ASSERT_EQ(r.events_path, spec.events);
   ASSERT_GT(r.fault_crashed, 0u);
   EXPECT_EQ(r.fault_crashed, r.fault_revived);
@@ -374,7 +353,6 @@ TEST(FaultEvents, EveryCrashHasAMatchingRevive) {
 }
 
 TEST(ObservabilityIdentity, EventLogAndMonitorChangeNoExecution) {
-  if (!telemetry_compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   tel::EventLog& elog = tel::EventLog::global();
   for (const auto& c : test_support::kEngineCases) {
     const api::SolveResult base = test_support::solve_with(c, 0, nullptr);

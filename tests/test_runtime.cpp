@@ -525,9 +525,6 @@ TEST(SyncNetwork, ResetDropsDelayedMessages) {
   // Under a delay-fault injector a finished run leaves held-back
   // messages in the delayed queue; reset must drop them, so the next run
   // equals a fresh network with the same plan.
-#if !LPS_FAULTS
-  GTEST_SKIP() << "faults compiled out (LPS_FAULTS=0)";
-#endif
   faults::FaultPlan plan;
   plan.delay_p = 0.5;
   plan.delay_rounds = 4;

@@ -176,9 +176,6 @@ TEST(Tracer, ChromeTraceRoundTrips) {
   tel::Tracer& tracer = tel::Tracer::global();
   tracer.reset();
   tracer.set_recording(true);
-  if (!tracer.recording()) {
-    GTEST_SKIP() << "telemetry compiled out (LPS_TELEMETRY=0)";
-  }
   tracer.set_thread_label("gtest-main");
   tracer.emit("unit.span", "test", 1000, 500,
               {{"alpha", 1.0}, {"beta", 2.5}});
@@ -236,9 +233,6 @@ TEST(Tracer, EngineSetupSpansCoverConstructionAndReset) {
   { SyncNetwork<int> quiet(g, 1); quiet.reset(2); }
   EXPECT_EQ(tracer.events(), 0u);
   tracer.set_recording(true);
-  if (!tracer.recording()) {
-    GTEST_SKIP() << "telemetry compiled out (LPS_TELEMETRY=0)";
-  }
   {
     SyncNetwork<int> net(g, 1);
     net.reset(2);
@@ -279,9 +273,7 @@ TEST(TraceReader, RejectsMalformedDocuments) {
 
 TEST(Telemetry, EngineClientsBitIdenticalWithTelemetryOn) {
   // The acceptance-critical contract: metrics + span recording change
-  // nothing about any engine client's execution. Compiled out
-  // (LPS_TELEMETRY=0) the switches are no-ops and this degenerates to
-  // solving twice — still a valid determinism check.
+  // nothing about any engine client's execution.
   tel::Tracer& tracer = tel::Tracer::global();
   const bool prev_enabled = tel::enabled();
   for (const test_support::ShardCase& c : test_support::kEngineCases) {
@@ -294,10 +286,8 @@ TEST(Telemetry, EngineClientsBitIdenticalWithTelemetryOn) {
     tel::set_enabled(prev_enabled);
     test_support::expect_identical(
         base, traced, std::string(c.solver) + " telemetry on vs off");
-#if LPS_TELEMETRY
     EXPECT_GT(tracer.events(), 0u)
         << c.solver << " recorded no spans with tracing on";
-#endif
   }
   tracer.reset();
 }

@@ -30,8 +30,7 @@ function(expect_code expected)
   endif()
 endfunction()
 
-# A real trace from a real run (works in -DLPS_TELEMETRY=OFF builds too:
-# the tracer still writes a valid empty document).
+# A real trace from a real run.
 execute_process(
   COMMAND "${RUNNER}" --generator er:n=64,deg=3 --solver israeli_itai
           --oracle none --ledger off --log-level quiet
