@@ -869,44 +869,55 @@ std::string RunResult::to_json() const {
       .add("oracle_solver", oracle_solver)
       .add("optimum_kind", optimum_kind)
       .add("optimum", optimum)
-      .add("ratio", ratio)
-      .add("lca_oracle", lca_oracle)
-      .add("lca_queries", lca_queries)
-      .add("lca_probes_per_query", lca_probes_per_query)
-      .add("lca_queries_per_sec", lca_queries_per_sec)
-      .add("lca_cache_hit_rate", lca_cache_hit_rate)
-      .add("lca_agree", lca_agree)
-      .add("dynamic_maintainer", dynamic_maintainer)
-      .add("dynamic_stream", spec.dynamic_stream)
-      .add("dynamic_bootstrap_updates", dynamic_bootstrap_updates)
-      .add("dynamic_updates", dynamic_updates)
-      .add("dynamic_updates_per_sec", dynamic_updates_per_sec)
-      .add("dynamic_recourse_per_update", dynamic_recourse_per_update)
-      .add("dynamic_final_size", static_cast<std::uint64_t>(dynamic_final_size))
-      .add("dynamic_final_edges", dynamic_final_edges)
-      .add("dynamic_ratio", dynamic_ratio)
-      .add("dynamic_ratio_min", dynamic_ratio_min)
-      .add("dynamic_baseline", dynamic_baseline)
-      .add("dynamic_valid", dynamic_valid)
-      .add("faults", spec.faults)
-      .add("fault_plan", fault_plan)
-      .add("fault_epochs", fault_epochs)
-      .add("fault_all_valid", fault_all_valid)
-      .add("fault_min_ratio", fault_min_ratio)
-      .add("fault_final_ratio", fault_final_ratio)
-      .add("fault_final_valid", fault_final_valid)
-      .add("fault_baseline_size",
-           static_cast<std::uint64_t>(fault_baseline_size))
-      .add("fault_crashed", fault_crashed)
-      .add("fault_revived", fault_revived)
-      .add("fault_adversarial", fault_adversarial)
-      .add("fault_reinserted", fault_reinserted)
-      .add("fault_recourse", fault_recourse)
-      .add("fault_recovery_p50_ns", fault_recovery_p50_ns)
-      .add("fault_recovery_p99_ns", fault_recovery_p99_ns)
-      .add("provenance", provenance_json(Provenance{
-                             prov_git_sha, prov_build_type, prov_threads,
-                             prov_timestamp_utc}))
+      .add("ratio", ratio);
+  // Optional legs: their fields appear only when the leg ran — absent
+  // beats defaults (dynamic_valid false, fault_min_ratio -1) that read
+  // as outcomes.
+  if (!lca_oracle.empty()) {
+    o.add("lca_oracle", lca_oracle)
+        .add("lca_queries", lca_queries)
+        .add("lca_probes_per_query", lca_probes_per_query)
+        .add("lca_queries_per_sec", lca_queries_per_sec)
+        .add("lca_cache_hit_rate", lca_cache_hit_rate)
+        .add("lca_agree", lca_agree);
+  }
+  if (!dynamic_maintainer.empty()) {
+    o.add("dynamic_maintainer", dynamic_maintainer)
+        .add("dynamic_stream", spec.dynamic_stream)
+        .add("dynamic_bootstrap_updates", dynamic_bootstrap_updates)
+        .add("dynamic_updates", dynamic_updates)
+        .add("dynamic_updates_per_sec", dynamic_updates_per_sec)
+        .add("dynamic_recourse_per_update", dynamic_recourse_per_update)
+        .add("dynamic_final_size",
+             static_cast<std::uint64_t>(dynamic_final_size))
+        .add("dynamic_final_edges", dynamic_final_edges)
+        .add("dynamic_ratio", dynamic_ratio)
+        .add("dynamic_ratio_min", dynamic_ratio_min)
+        .add("dynamic_baseline", dynamic_baseline)
+        .add("dynamic_valid", dynamic_valid);
+  }
+  if (!fault_plan.empty()) {
+    o.add("faults", spec.faults).add("fault_plan", fault_plan);
+  }
+  if (fault_epochs > 0) {  // the graph-fault session ran
+    o.add("fault_epochs", fault_epochs)
+        .add("fault_all_valid", fault_all_valid)
+        .add("fault_min_ratio", fault_min_ratio)
+        .add("fault_final_ratio", fault_final_ratio)
+        .add("fault_final_valid", fault_final_valid)
+        .add("fault_baseline_size",
+             static_cast<std::uint64_t>(fault_baseline_size))
+        .add("fault_crashed", fault_crashed)
+        .add("fault_revived", fault_revived)
+        .add("fault_adversarial", fault_adversarial)
+        .add("fault_reinserted", fault_reinserted)
+        .add("fault_recourse", fault_recourse)
+        .add("fault_recovery_p50_ns", fault_recovery_p50_ns)
+        .add("fault_recovery_p99_ns", fault_recovery_p99_ns);
+  }
+  o.add("provenance",
+        provenance_json(Provenance{prov_git_sha, prov_build_type,
+                                   prov_threads, prov_timestamp_utc}))
       .add("telemetry", tel)
       .add("metrics", metrics_obj);
   return o.str();

@@ -59,7 +59,7 @@ SolverConfig SolverConfig::parse(const std::string& spec) {
 SolverConfig& SolverConfig::set(const std::string& key,
                                 const std::string& value) {
   if (key == "seed") {
-    seed(static_cast<std::uint64_t>(parse_int_value(key, value)));
+    seed(parse_count_value(key, value, UINT64_MAX));
   } else if (key == "shards") {
     shards(static_cast<unsigned>(
         parse_count_value(key, value, std::numeric_limits<unsigned>::max())));
@@ -84,6 +84,14 @@ std::int64_t SolverConfig::get_int(const std::string& key,
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   return parse_int_value(key, it->second);
+}
+
+std::uint64_t SolverConfig::get_count(const std::string& key,
+                                     std::uint64_t fallback,
+                                     std::uint64_t max) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  return parse_count_value(key, it->second, max);
 }
 
 double SolverConfig::get_double(const std::string& key, double fallback) const {

@@ -22,6 +22,7 @@
 //                    times the run, then delegates to `run`.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -108,6 +109,10 @@ class SolverConfig {
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// An integer in [0, max] (util/options parse_count_value): negative or
+  /// oversized values throw instead of wrapping in the caller's cast.
+  std::uint64_t get_count(const std::string& key, std::uint64_t fallback,
+                          std::uint64_t max = UINT64_MAX) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 

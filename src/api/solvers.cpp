@@ -6,6 +6,7 @@
 // mapping stays greppable.
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -90,8 +91,13 @@ std::vector<std::uint8_t> require_side(const Instance& instance,
   return std::move(*side);
 }
 
-int config_k(const SolverConfig& c) {
-  const int k = static_cast<int>(c.get_int("k", 3));
+/// k bounds the augmenting-path length 2k-1, which must fit in an int.
+constexpr std::uint64_t kMaxK = std::numeric_limits<int>::max() / 2;
+/// general_mcm's paper budget 2^{2k+1}(k+1) ln k must fit in 64 bits.
+constexpr std::uint64_t kMaxGeneralMcmK = 28;
+
+int config_k(const SolverConfig& c, std::uint64_t max_k = kMaxK) {
+  const int k = static_cast<int>(c.get_count("k", 3, max_k));
   if (k < 1) throw std::invalid_argument("config: k must be >= 1");
   return k;
 }
@@ -116,7 +122,7 @@ double config_eps(const SolverConfig& c, double fallback,
 bool truncated(const SolverConfig& c,
                std::initializer_list<const char*> cap_keys) {
   for (const char* key : cap_keys) {
-    if (c.get_int(key, 0) != 0) return true;
+    if (c.get_count(key, 0) != 0) return true;
   }
   return false;
 }
@@ -147,7 +153,7 @@ void register_core(SolverRegistry& reg) {
       [](const Instance& inst, const SolverConfig& cfg) {
         IsraeliItaiOptions o;
         o.seed = cfg.seed();
-        o.max_phases = static_cast<std::uint64_t>(cfg.get_int("max_phases", 0));
+        o.max_phases = cfg.get_count("max_phases", 0);
         o.pool = cfg.pool();
         o.shards = cfg.shards();
         o.faults = cfg.get("faults", "");
@@ -172,8 +178,7 @@ void register_core(SolverRegistry& reg) {
         GenericMcmOptions o;
         o.eps = config_eps(cfg, 0.34, /*inclusive_one=*/true);
         o.seed = cfg.seed();
-        o.max_conflict_nodes = static_cast<std::size_t>(
-            cfg.get_int("max_conflict_nodes", 4 << 20));
+        o.max_conflict_nodes = cfg.get_count("max_conflict_nodes", 4 << 20);
         o.use_abi_mis = cfg.get_bool("use_abi_mis", false);
         o.check_invariants = cfg.get_bool("check_invariants", false);
         o.pool = cfg.pool();
@@ -201,8 +206,8 @@ void register_core(SolverRegistry& reg) {
         BipartiteMcmOptions o;
         o.k = config_k(cfg);
         o.seed = cfg.seed();
-        o.max_iterations_per_phase = static_cast<std::uint64_t>(
-            cfg.get_int("max_iterations_per_phase", 0));
+        o.max_iterations_per_phase =
+            cfg.get_count("max_iterations_per_phase", 0);
         o.pool = cfg.pool();
         o.shards = cfg.shards();
         auto res = bipartite_mcm(inst.graph(), side, o);
@@ -233,11 +238,11 @@ void register_core(SolverRegistry& reg) {
         if (truncated(c, {"max_iterations", "max_aug_iterations"})) {
           return 0.0;
         }
-        return 1.0 - 1.0 / config_k(c);
+        return 1.0 - 1.0 / config_k(c, kMaxGeneralMcmK);
       },
       [](const Instance& inst, const SolverConfig& cfg) {
         GeneralMcmOptions o;
-        o.k = config_k(cfg);
+        o.k = config_k(cfg, kMaxGeneralMcmK);
         o.seed = cfg.seed();
         const std::string mode = cfg.get("mode", "adaptive");
         if (mode == "paper") {
@@ -248,14 +253,10 @@ void register_core(SolverRegistry& reg) {
           throw std::invalid_argument(
               "general_mcm: mode must be 'paper' or 'adaptive'");
         }
-        o.max_iterations =
-            static_cast<std::uint64_t>(cfg.get_int("max_iterations", 0));
-        o.empty_streak_stop =
-            static_cast<std::uint64_t>(cfg.get_int("empty_streak_stop", 0));
-        o.oracle_optimum_size =
-            static_cast<std::size_t>(cfg.get_int("oracle_optimum_size", 0));
-        o.max_aug_iterations =
-            static_cast<std::uint64_t>(cfg.get_int("max_aug_iterations", 0));
+        o.max_iterations = cfg.get_count("max_iterations", 0);
+        o.empty_streak_stop = cfg.get_count("empty_streak_stop", 0);
+        o.oracle_optimum_size = cfg.get_count("oracle_optimum_size", 0);
+        o.max_aug_iterations = cfg.get_count("max_aug_iterations", 0);
         o.pool = cfg.pool();
         o.shards = cfg.shards();
         auto res = general_mcm(inst.graph(), o);
@@ -283,7 +284,7 @@ void register_core(SolverRegistry& reg) {
       },
       [](const Instance& inst, const SolverConfig& cfg) {
         HoepmanOptions o;
-        o.max_rounds = static_cast<std::uint64_t>(cfg.get_int("max_rounds", 0));
+        o.max_rounds = cfg.get_count("max_rounds", 0);
         o.pool = cfg.pool();
         o.shards = cfg.shards();
         auto res = hoepman_mwm(inst.weighted_graph(), o);
@@ -302,8 +303,7 @@ void register_core(SolverRegistry& reg) {
         ClassMwmOptions o;
         o.seed = cfg.seed();
         o.class_base = cfg.get_double("class_base", 2.0);
-        o.max_phases_per_class = static_cast<std::uint64_t>(
-            cfg.get_int("max_phases_per_class", 0));
+        o.max_phases_per_class = cfg.get_count("max_phases_per_class", 0);
         o.pool = cfg.pool();
         o.shards = cfg.shards();
         auto res = class_mwm(inst.weighted_graph(), o);
@@ -338,8 +338,7 @@ void register_core(SolverRegistry& reg) {
           throw std::invalid_argument(
               "weighted_mwm: black_box must be 'class' or 'greedy'");
         }
-        o.max_iterations =
-            static_cast<std::uint64_t>(cfg.get_int("max_iterations", 0));
+        o.max_iterations = cfg.get_count("max_iterations", 0);
         o.pool = cfg.pool();
         o.shards = cfg.shards();
         auto res = weighted_mwm(inst.weighted_graph(), o);
@@ -367,7 +366,7 @@ void register_core(SolverRegistry& reg) {
       [](const Instance& inst, const SolverConfig& cfg) {
         const Graph& g = inst.graph();
         const int chunk_bits =
-            static_cast<int>(cfg.get_int("chunk_bits", 8));
+            static_cast<int>(cfg.get_count("chunk_bits", 8, 32));
         const std::int64_t root_raw = cfg.get_int("root", 0);
         if (root_raw < 0 || root_raw >= static_cast<std::int64_t>(g.num_nodes())) {
           throw std::invalid_argument(

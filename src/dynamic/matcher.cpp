@@ -436,8 +436,8 @@ std::unique_ptr<DynamicMatcher> make_matcher(
     reject_unknown({"eps", "interval", "rebuild", "rebuild_frac"});
     RepairDynamicMatcher::Options options;
     options.eps = parse_double_value("eps", get("eps", "0.2"));
-    options.interval = static_cast<std::uint64_t>(
-        parse_int_value("interval", get("interval", "32")));
+    options.interval =
+        parse_count_value("interval", get("interval", "32"), UINT64_MAX);
     options.rebuild = get("rebuild", "");
     options.rebuild_frac =
         parse_double_value("rebuild_frac", get("rebuild_frac", "0.25"));
@@ -447,7 +447,7 @@ std::unique_ptr<DynamicMatcher> make_matcher(
     reject_unknown({"solver", "seed"});
     return std::make_unique<ScratchRematchMatcher>(
         std::move(g), get("solver", "greedy_mcm"),
-        static_cast<std::uint64_t>(parse_int_value("seed", get("seed", "1"))));
+        parse_count_value("seed", get("seed", "1"), UINT64_MAX));
   }
   throw std::invalid_argument("make_matcher: unknown maintainer '" + name +
                               "' (greedy | repair | scratch)");

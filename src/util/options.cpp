@@ -55,12 +55,21 @@ std::int64_t parse_int_value(const std::string& key, const std::string& v) {
 
 std::uint64_t parse_count_value(const std::string& key, const std::string& v,
                                 std::uint64_t max) {
-  const std::int64_t n = parse_int_value(key, v);
-  if (n < 0 || static_cast<std::uint64_t>(n) > max) {
+  std::uint64_t n = 0;
+  try {
+    std::size_t used = 0;
+    n = std::stoull(v, &used);
+    if (used != v.size()) throw std::invalid_argument("trailing characters");
+  } catch (const std::exception&) {
+    throw std::invalid_argument("bad integer for '" + key + "': '" + v + "'");
+  }
+  // stoull accepts a leading '-' and wraps "-1" to 2^64-1.
+  const std::size_t first = v.find_first_not_of(" \t\n\v\f\r");
+  if (v[first] == '-' || n > max) {
     throw std::invalid_argument("bad count for '" + key + "': '" + v +
                                 "' (expected 0.." + std::to_string(max) + ")");
   }
-  return static_cast<std::uint64_t>(n);
+  return n;
 }
 
 double parse_double_value(const std::string& key, const std::string& v) {

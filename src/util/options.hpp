@@ -19,8 +19,9 @@ std::map<std::string, std::string> parse_kv_list(const std::string& spec);
 /// Scalar parsers shared by Options and api::SolverConfig; `key` only
 /// names the offender in the error message.
 std::int64_t parse_int_value(const std::string& key, const std::string& v);
-/// A count (threads, shards, budgets): an integer in [0, max]. Negative
-/// or oversized values throw instead of wrapping when cast to unsigned.
+/// A count (threads, shards, budgets, seeds): an integer in [0, max],
+/// parsed over the full unsigned 64-bit range. Negative or oversized
+/// values throw instead of wrapping when cast to unsigned.
 std::uint64_t parse_count_value(const std::string& key, const std::string& v,
                                 std::uint64_t max);
 double parse_double_value(const std::string& key, const std::string& v);

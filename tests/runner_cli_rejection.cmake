@@ -105,9 +105,19 @@ expect_reject(--generator path:n=8 --solver greedy_mcm --dynamic greedy
               --dynamic-checkpoints -1)
 expect_reject(--generator er:n=64,deg=2 --solver israeli_itai
               --stall-timeout-ms -1)
+# Integer solver-config keys: k=2^32+3 would run as k=3 while echoing
+# the typed value, and a negative cap would become a 2^64-1 budget.
+expect_reject(--generator bipartite:nx=64,ny=64,deg=4 --solver bipartite_mcm
+              --config k=4294967299)
+expect_reject(--generator bipartite:nx=64,ny=64,deg=4 --solver bipartite_mcm
+              --config max_iterations_per_phase=-1)
+# Seeds span the full unsigned 64-bit range; negatives are rejected.
+expect_reject(--generator er:n=64,deg=2 --solver israeli_itai --seed -1)
 
 # And the contract's other half: well-formed specs still run.
 expect_accept(--generator path:n=8 --solver greedy_mcm --oracle none
               --no-telemetry)
 expect_accept(--generator er:n=64,deg=3 --solver israeli_itai --oracle none
               --faults drop10 --no-telemetry)
+expect_accept(--generator er:n=64,deg=3 --solver israeli_itai --oracle none
+              --seed 18446744073709551615 --no-telemetry)

@@ -317,6 +317,11 @@ TEST(Matcher, RejectsBadUpdatesAndConfigs) {
                std::invalid_argument);
   EXPECT_THROW(make_matcher("repair", DynamicGraph(2), {{"typo", "1"}}),
                std::invalid_argument);
+  // Negative integers are rejected, not wrapped to 2^64-1.
+  EXPECT_THROW(make_matcher("repair", DynamicGraph(2), {{"interval", "-1"}}),
+               std::invalid_argument);
+  EXPECT_THROW(make_matcher("scratch", DynamicGraph(2), {{"seed", "-1"}}),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- soak --

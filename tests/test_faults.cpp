@@ -407,7 +407,29 @@ TEST(RunnerFaults, FaultLegLandsInRunResult) {
   EXPECT_GT(res.fault_recovery_p50_ns, 0u);
   // The canonical plan echo and the JSON record carry the fields.
   EXPECT_FALSE(res.fault_plan.empty());
-  EXPECT_NE(res.to_json().find("\"fault_min_ratio\""), std::string::npos);
+  const std::string json = res.to_json();
+  EXPECT_NE(json.find("\"fault_min_ratio\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"dynamic_valid\""), std::string::npos) << json;
+}
+
+TEST(RunnerFaults, LegFieldsAppearOnlyForLegsThatRan) {
+  // A static solve carries no leg fields at all: a default
+  // dynamic_valid=false or fault_min_ratio=-1 would read as an outcome.
+  api::RunSpec spec;
+  spec.generator = "er:n=64,deg=3";
+  spec.solver = "israeli_itai";
+  spec.oracle = "none";
+  spec.ledger = "off";
+  std::string json = api::run_one(spec).to_json();
+  for (const char* key : {"\"lca_", "\"dynamic_", "\"fault"}) {
+    EXPECT_EQ(json.find(key), std::string::npos) << key << " in " << json;
+  }
+  // Message faults alone echo the plan but run no graph-fault session.
+  spec.faults = "drop10";
+  json = api::run_one(spec).to_json();
+  EXPECT_NE(json.find("\"fault_plan\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"fault_min_ratio\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"dynamic_valid\""), std::string::npos) << json;
 }
 
 TEST(RunnerFaults, MalformedAndMisdirectedSpecsThrowEagerly) {

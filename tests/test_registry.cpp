@@ -244,6 +244,42 @@ TEST(SolverConfigTest, MalformedSpecsThrow) {
   EXPECT_THROW(cfg.get_int("k", 0), std::invalid_argument);
 }
 
+TEST(SolverConfigTest, CountsAndSeedsRejectWrapping) {
+  const SolverConfig cfg = SolverConfig::parse(
+      "k=4294967299,cap=-1,big=18446744073709551615");
+  EXPECT_EQ(cfg.get_count("big", 0), UINT64_MAX);
+  EXPECT_EQ(cfg.get_count("absent", 7), 7u);
+  EXPECT_THROW(cfg.get_count("k", 3, 1000), std::invalid_argument);
+  EXPECT_THROW(cfg.get_count("cap", 0), std::invalid_argument);
+  EXPECT_EQ(SolverConfig::parse("seed=18446744073709551615").seed(),
+            UINT64_MAX);
+  EXPECT_THROW(SolverConfig::parse("seed=-1"), std::invalid_argument);
+  EXPECT_THROW(SolverConfig::parse("seed=18446744073709551616"),
+               std::invalid_argument);
+}
+
+TEST(SolverConfigTest, OutOfRangeIntegerKeysAreRejected) {
+  // Every integer key reaches its option struct through get_count: a
+  // value the field cannot hold throws instead of running as a wrapped
+  // budget under the typed value's echo.
+  const SolverRegistry& reg = SolverRegistry::global();
+  const Instance inst = Instance::unweighted(path_graph(8));
+  const std::pair<const char*, const char*> cases[] = {
+      {"bipartite_mcm", "k=4294967299"},
+      {"bipartite_mcm", "max_iterations_per_phase=-1"},
+      {"general_mcm", "k=29"},
+      {"general_mcm", "max_aug_iterations=-1"},
+      {"israeli_itai", "max_phases=-1"},
+      {"generic_mcm", "max_conflict_nodes=-1"},
+      {"pipelined_max", "chunk_bits=4294967304"},
+  };
+  for (const auto& [solver, config] : cases) {
+    const SolverConfig cfg = SolverConfig::parse(config);
+    EXPECT_THROW(reg.at(solver).solve(inst, cfg), std::invalid_argument)
+        << solver << " " << config;
+  }
+}
+
 TEST(SolverConfigTest, ToStringIsCanonical) {
   SolverConfig cfg = SolverConfig::parse("k=3,eps=0.5");
   cfg.seed(9);

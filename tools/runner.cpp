@@ -107,9 +107,8 @@ int main(int argc, char** argv) {
   // way a malformed input is one diagnostic line and exit 2.
   try {
     spec.config = opts.get("config", "");
-    spec.instance_seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-    spec.solver_seed =
-        static_cast<std::uint64_t>(opts.get_int("solver-seed", 1));
+    spec.instance_seed = opts.get_count("seed", 1);
+    spec.solver_seed = opts.get_count("solver-seed", 1);
     spec.threads =
         static_cast<unsigned>(opts.get_count("threads", 1, kMaxUnsigned));
     spec.shards =
