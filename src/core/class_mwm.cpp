@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/israeli_itai.hpp"
@@ -20,43 +22,76 @@ ClassMwmResult class_mwm(const WeightedGraph& wg,
   result.matching = Matching(g.num_nodes());
   if (g.num_edges() == 0) return result;
 
-  // Class index per edge, shifted to start at 0.
+  // Class index per edge, computed in double and range-checked: a base
+  // just above 1 puts indices far outside int.
   const double log_base = std::log(opts.class_base);
-  std::vector<int> cls(g.num_edges());
+  const EdgeId m = g.num_edges();
+  std::vector<int> cls(m);
   int lo = std::numeric_limits<int>::max();
   int hi = std::numeric_limits<int>::min();
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    cls[e] = static_cast<int>(std::floor(std::log(wg.weight(e)) / log_base));
+  for (EdgeId e = 0; e < m; ++e) {
+    const double idx = std::floor(std::log(wg.weight(e)) / log_base);
+    if (!(idx >= std::numeric_limits<int>::min() &&
+          idx <= std::numeric_limits<int>::max())) {
+      throw std::invalid_argument(
+          "class_mwm: weight class index out of int range (class_base "
+          "too close to 1, or a non-positive weight)");
+    }
+    cls[e] = static_cast<int>(idx);
     lo = std::min(lo, cls[e]);
     hi = std::max(hi, cls[e]);
   }
-  const std::size_t num_classes = static_cast<std::size_t>(hi - lo + 1);
+  // Class index shifted to start at 0.
+  auto rank = [&](EdgeId e) {
+    return static_cast<std::size_t>(std::int64_t{cls[e]} - lo);
+  };
+  const std::size_t num_classes =
+      static_cast<std::size_t>(std::int64_t{hi} - lo + 1);
   result.num_classes = num_classes;
+
+  // Bucket the edges by class once, ascending class then edge id: a
+  // counting sort when there are at most m classes; past that nearly
+  // all are empty, and a comparison sort keeps time O(m log m) and
+  // memory O(m).
+  std::vector<EdgeId> by_class(m);
+  if (num_classes <= m) {
+    std::vector<EdgeId> next(num_classes + 1, 0);
+    for (EdgeId e = 0; e < m; ++e) ++next[rank(e) + 1];
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (EdgeId e = 0; e < m; ++e) by_class[next[rank(e)]++] = e;
+  } else {
+    std::iota(by_class.begin(), by_class.end(), EdgeId{0});
+    std::stable_sort(by_class.begin(), by_class.end(),
+                     [&](EdgeId a, EdgeId b) { return cls[a] < cls[b]; });
+  }
 
   // Step 2: per-class maximal matchings, composed in parallel (the
   // classes partition E, so their channel sets are disjoint: the round
-  // count of the simultaneous run is the max over classes).
-  std::vector<std::vector<EdgeId>> class_matchings(num_classes);
+  // count of the simultaneous run is the max over classes). One runner
+  // and one mask serve every non-empty class: set the class's edges,
+  // run, clear them.
+  std::vector<std::vector<EdgeId>> class_matchings;  // ascending class
   std::uint64_t parallel_rounds = 0;
-  for (std::size_t c = 0; c < num_classes; ++c) {
-    std::vector<char> mask(g.num_edges(), 0);
-    bool nonempty = false;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (cls[e] == lo + static_cast<int>(c)) {
-        mask[e] = 1;
-        nonempty = true;
-      }
+  IsraeliItaiRunner runner(g);
+  IsraeliItaiOptions ii;
+  ii.max_phases = opts.max_phases_per_class;
+  ii.active_edges.assign(m, 0);
+  ii.pool = opts.pool;
+  ii.shards = opts.shards;
+  for (std::size_t begin = 0; begin < m;) {
+    const std::size_t c = rank(by_class[begin]);
+    std::size_t end = begin;
+    for (; end < m && rank(by_class[end]) == c; ++end) {
+      ii.active_edges[by_class[end]] = 1;
     }
-    if (!nonempty) continue;
-    IsraeliItaiOptions ii;
     ii.seed = splitmix64(opts.seed ^ (0x11aa00 + c));
-    ii.max_phases = opts.max_phases_per_class;
-    ii.active_edges = std::move(mask);
-    ii.pool = opts.pool;
-    ii.shards = opts.shards;
-    DistMatchingResult mm = israeli_itai(g, ii);
+    DistMatchingResult mm = runner.run(ii);
+    for (std::size_t i = begin; i < end; ++i) {
+      ii.active_edges[by_class[i]] = 0;
+    }
+    begin = end;
     result.converged = result.converged && mm.converged;
-    class_matchings[c] = mm.matching.edge_ids(g);
+    class_matchings.push_back(mm.matching.edge_ids(g));
     parallel_rounds = std::max(parallel_rounds, mm.stats.rounds);
     // Messages/bits add up across classes; rounds compose in parallel.
     NetStats msgs = mm.stats;
@@ -77,9 +112,11 @@ ClassMwmResult class_mwm(const WeightedGraph& wg,
   sweep.rounds = num_classes;
   std::uint64_t id_bits = 1;
   while ((std::uint64_t{1} << id_bits) < g.num_nodes() + 1) ++id_bits;
-  for (std::size_t c = num_classes; c-- > 0;) {
+  // Empty classes announce nothing, but their rounds are still charged.
+  for (auto it = class_matchings.rbegin(); it != class_matchings.rend();
+       ++it) {
     std::vector<EdgeId> level;
-    for (EdgeId e : class_matchings[c]) {
+    for (EdgeId e : *it) {
       const Edge& ed = g.edge(e);
       if (endpoint_killed[ed.u] || endpoint_killed[ed.v]) continue;
       level.push_back(e);

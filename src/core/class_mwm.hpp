@@ -10,7 +10,9 @@
 //  2. Run Israeli–Itai maximal matching on every class simultaneously —
 //     the classes partition the edge set, so the per-class protocols use
 //     disjoint channels and compose in parallel (rounds = max over
-//     classes, messages summed).
+//     classes, messages summed). Simulated class by class on one reused
+//     IsraeliItaiRunner, each run touching only its class's endpoints
+//     in round 0.
 //  3. Survival sweep from the heaviest class down: an edge of M_i
 //     survives iff no adjacent surviving edge lies in a strictly
 //     heavier class. One round per class (survivors announce).

@@ -30,23 +30,31 @@ std::uint64_t israeli_itai_default_max_phases(NodeId n) {
                        std::ceil(std::log2(static_cast<double>(n) + 1.0)));
 }
 
-DistMatchingResult israeli_itai(const Graph& g,
-                                const IsraeliItaiOptions& opts) {
+struct IsraeliItaiRunner::Net : IiNet {
+  using IiNet::IiNet;
+};
+
+IsraeliItaiRunner::IsraeliItaiRunner(const Graph& g)
+    : g_(&g), net_(std::make_unique<Net>(g, /*seed=*/0, IiBits{})) {}
+
+IsraeliItaiRunner::~IsraeliItaiRunner() = default;
+
+DistMatchingResult IsraeliItaiRunner::run(const IsraeliItaiOptions& opts) {
+  const Graph& g = *g_;
   const NodeId n = g.num_nodes();
   if (!opts.active_edges.empty() && opts.active_edges.size() != g.num_edges()) {
     throw std::invalid_argument("israeli_itai: active_edges size mismatch");
+  }
+  if (opts.initial && opts.initial->num_nodes() != n) {
+    throw std::invalid_argument("israeli_itai: initial matching size");
   }
   auto active = [&](EdgeId e) {
     return opts.active_edges.empty() || opts.active_edges[e];
   };
 
-  // Persistent node state (owned here, indexed by node id; each node
-  // touches only its own entries during a round).
-  std::vector<EdgeId> matched_edge(n, kInvalidEdge);
+  std::vector<EdgeId>& matched_edge = matched_edge_;
+  matched_edge.assign(n, kInvalidEdge);
   if (opts.initial) {
-    if (opts.initial->num_nodes() != n) {
-      throw std::invalid_argument("israeli_itai: initial matching size");
-    }
     for (NodeId v = 0; v < n; ++v) {
       matched_edge[v] = opts.initial->matched_edge(v);
     }
@@ -55,34 +63,51 @@ DistMatchingResult israeli_itai(const Graph& g,
   // for v's i-th incidence) — the same indexing the engine's inbox slots
   // use, so a kMatched arrival updates its flag without scanning the row.
   const std::vector<std::uint64_t>& adj_offset = g.store().offsets;
-  std::vector<std::uint8_t> neighbor_free(adj_offset[n], 1);
+  std::vector<std::uint8_t>& neighbor_free = neighbor_free_;
+  neighbor_free.assign(adj_offset[n], 1);
   // Initialize neighbor liveness against the initial matching.
-  {
-    std::vector<std::uint8_t> is_matched(n, 0);
-    for (NodeId v = 0; v < n; ++v) {
-      if (matched_edge[v] != kInvalidEdge) is_matched[v] = 1;
-    }
+  if (opts.initial) {
     for (NodeId v = 0; v < n; ++v) {
       const auto nbrs = g.neighbors(v);
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (is_matched[nbrs[i].to]) neighbor_free[adj_offset[v] + i] = 0;
+        if (matched_edge[nbrs[i].to] != kInvalidEdge) {
+          neighbor_free[adj_offset[v] + i] = 0;
+        }
       }
     }
   }
-  std::vector<std::uint8_t> coin(n, 0);
-  std::vector<EdgeId> proposal_edge(n, kInvalidEdge);
+  std::vector<std::uint8_t>& coin = coin_;
+  coin.assign(n, 0);
+  std::vector<EdgeId>& proposal_edge = proposal_edge_;
+  proposal_edge.assign(n, kInvalidEdge);
   // Set by a node at stage 0 when it is free and still sees a free
   // active neighbor; used for termination detection (a phase in which no
   // node had any candidate can never make progress again).
-  std::vector<std::uint8_t> had_candidates(n, 0);
+  std::vector<std::uint8_t>& had_candidates = had_candidates_;
+  had_candidates.assign(n, 0);
 
-  IiNet net(g, opts.seed, IiBits{});
+  IiNet& net = *net_;
+  net.reset(opts.seed);
   net.set_thread_pool(opts.pool);
-  net.set_shards(opts.shards);
+  if (opts.shards != shards_) {
+    net.set_shards(opts.shards);
+    shards_ = opts.shards;
+  }
   net.step_all_nodes(opts.step_all_nodes);
-  const std::unique_ptr<faults::MessageFaultInjector> injector =
-      faults::make_message_injector(opts.faults, opts.seed);
-  if (injector != nullptr) net.set_message_faults(injector.get());
+  // reset() keeps an injector attached, so attach or detach every run.
+  injector_ = faults::make_message_injector(opts.faults, opts.seed);
+  net.set_message_faults(injector_.get());
+  // Round 0 of a subgraph run steps only the active edges' endpoints. A
+  // vertex with no active edge would only flip a coin nothing reads and
+  // report no candidates, exactly what skipping it leaves behind.
+  if (!opts.active_edges.empty()) {
+    net.restrict_initial_active();
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (!opts.active_edges[e]) continue;
+      net.activate(g.edge(e).u);
+      net.activate(g.edge(e).v);
+    }
+  }
 
   const std::uint64_t max_phases = opts.max_phases != 0
                                        ? opts.max_phases
@@ -194,7 +219,7 @@ DistMatchingResult israeli_itai(const Graph& g,
   // repair, not a restart. Faults stay live during the burst, so sweep
   // until agreement or the budget runs out.
   std::uint32_t resyncs = 0;
-  if (injector != nullptr) {
+  if (injector_ != nullptr) {
     for (std::uint32_t sweep = 0; sweep < opts.max_resyncs; ++sweep) {
       std::vector<NodeId> perturbed;
       for (NodeId v = 0; v < n; ++v) {
@@ -261,6 +286,11 @@ DistMatchingResult israeli_itai(const Graph& g,
   }
   out.matching = Matching::from_edges(g, ids);
   return out;
+}
+
+DistMatchingResult israeli_itai(const Graph& g,
+                                const IsraeliItaiOptions& opts) {
+  return IsraeliItaiRunner(g).run(opts);
 }
 
 }  // namespace lps

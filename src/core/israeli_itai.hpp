@@ -17,6 +17,7 @@
 // never accepts itself).
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "graph/matching.hpp"
@@ -24,6 +25,10 @@
 #include "runtime/thread_pool.hpp"
 
 namespace lps {
+
+namespace faults {
+class MessageFaultInjector;
+}  // namespace faults
 
 struct IsraeliItaiOptions {
   std::uint64_t seed = 1;
@@ -68,6 +73,41 @@ struct DistMatchingResult {
   std::uint32_t resyncs = 0;
 };
 
+/// Israeli–Itai on one graph, re-runnable: the round network and the
+/// per-node state are built once and reused by every run(), so a caller
+/// that runs the protocol many times on one graph (class_mwm runs it
+/// once per weight class) constructs one network in total. Each run is
+/// bit-identical to a fresh israeli_itai(g, opts).
+///
+/// A run over `active_edges` steps in round 0 only the endpoints of
+/// active edges, so it costs O(active edges + the traffic they cause)
+/// in the engine rather than O(n): a vertex with no active edge never
+/// sends and never changes state another vertex reads.
+class IsraeliItaiRunner {
+ public:
+  /// `g` must outlive the runner.
+  explicit IsraeliItaiRunner(const Graph& g);
+  ~IsraeliItaiRunner();  // out of line: Net is incomplete here
+
+  DistMatchingResult run(const IsraeliItaiOptions& opts);
+
+ private:
+  struct Net;
+  const Graph* g_;
+  std::unique_ptr<Net> net_;
+  unsigned shards_ = 0;  // the shard request the network is planned for
+  std::unique_ptr<faults::MessageFaultInjector> injector_;
+  // Per-node state, indexed by node id (each node touches only its own
+  // entries during a round); refilled by every run.
+  std::vector<EdgeId> matched_edge_;
+  std::vector<EdgeId> proposal_edge_;
+  std::vector<std::uint8_t> coin_;
+  std::vector<std::uint8_t> had_candidates_;
+  // Per-arc liveness of the neighbor across that arc.
+  std::vector<std::uint8_t> neighbor_free_;
+};
+
+/// One run on a fresh IsraeliItaiRunner.
 DistMatchingResult israeli_itai(const Graph& g,
                                 const IsraeliItaiOptions& opts = {});
 

@@ -113,6 +113,12 @@ expect_reject(--generator bipartite:nx=64,ny=64,deg=4 --solver bipartite_mcm
               --config max_iterations_per_phase=-1)
 # Seeds span the full unsigned 64-bit range; negatives are rejected.
 expect_reject(--generator er:n=64,deg=2 --solver israeli_itai --seed -1)
+# class_mwm's class base: must exceed 1, and must not push a weight's
+# class index out of int range (1+1e-15 gives ~4e15 for w = 100).
+expect_reject(--generator er:n=64,deg=4,w=uniform,wlo=1,whi=100
+              --solver class_mwm --config class_base=1)
+expect_reject(--generator er:n=64,deg=4,w=uniform,wlo=1,whi=100
+              --solver class_mwm --config class_base=1.000000000000001)
 
 # And the contract's other half: well-formed specs still run.
 expect_accept(--generator path:n=8 --solver greedy_mcm --oracle none
@@ -121,3 +127,6 @@ expect_accept(--generator er:n=64,deg=3 --solver israeli_itai --oracle none
               --faults drop10 --no-telemetry)
 expect_accept(--generator er:n=64,deg=3 --solver israeli_itai --oracle none
               --seed 18446744073709551615 --no-telemetry)
+expect_accept(--generator er:n=64,deg=4,w=uniform,wlo=1,whi=100
+              --solver class_mwm --config class_base=1.0000001
+              --oracle none --no-telemetry)

@@ -335,27 +335,122 @@ TEST(SyncNetwork, StepAllNodesRestoresFullSweep) {
   EXPECT_EQ(net.last_round_stepped(), 6u);
 }
 
+void expect_same_run(const Graph& g, const DistMatchingResult& a,
+                     const DistMatchingResult& b) {
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.resyncs, b.resyncs);
+  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
+  EXPECT_EQ(a.stats.messages, b.stats.messages);
+  EXPECT_EQ(a.stats.total_bits, b.stats.total_bits);
+  EXPECT_EQ(a.stats.max_message_bits, b.stats.max_message_bits);
+  ASSERT_EQ(a.matching.num_nodes(), b.matching.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(a.matching.matched_edge(v), b.matching.matched_edge(v)) << v;
+  }
+}
+
+/// About a quarter of g's edges, chosen by `salt`.
+std::vector<char> sparse_mask(const Graph& g, std::uint64_t salt) {
+  std::vector<char> mask(g.num_edges(), 0);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    mask[e] = (splitmix64(salt ^ e) & 3) == 0 ? 1 : 0;
+  }
+  return mask;
+}
+
+/// A greedy matching over every fifth edge.
+Matching partial_matching(const Graph& g) {
+  std::vector<char> used(g.num_nodes(), 0);
+  std::vector<EdgeId> ids;
+  for (EdgeId e = 0; e < g.num_edges(); e += 5) {
+    const Edge& ed = g.edge(e);
+    if (used[ed.u] || used[ed.v]) continue;
+    used[ed.u] = used[ed.v] = 1;
+    ids.push_back(e);
+  }
+  return Matching::from_edges(g, ids);
+}
+
 TEST(SyncNetwork, ActiveSetMatchesStepAllOnIsraeliItai) {
   // The migrated israeli_itai keeps every node alive that could act
   // spontaneously, so active-set scheduling must reproduce the
   // step-everything execution bit for bit: same matching, same rounds,
-  // same message/bit meters.
+  // same message/bit meters. A subgraph run also restricts round 0 to
+  // the active edges' endpoints; that must not change the execution
+  // either, with or without an initial matching.
   Rng rng(21);
   const Graph g = erdos_renyi(400, 8.0 / 400, rng);
-  IsraeliItaiOptions active;
-  active.seed = 5;
-  IsraeliItaiOptions all = active;
-  all.step_all_nodes = true;
-  const DistMatchingResult ra = israeli_itai(g, active);
-  const DistMatchingResult rb = israeli_itai(g, all);
-  EXPECT_EQ(ra.converged, rb.converged);
-  EXPECT_EQ(ra.stats.rounds, rb.stats.rounds);
-  EXPECT_EQ(ra.stats.messages, rb.stats.messages);
-  EXPECT_EQ(ra.stats.total_bits, rb.stats.total_bits);
-  EXPECT_EQ(ra.stats.max_message_bits, rb.stats.max_message_bits);
-  ASSERT_EQ(ra.matching.num_nodes(), rb.matching.num_nodes());
+  IsraeliItaiOptions whole;
+  whole.seed = 5;
+  IsraeliItaiOptions masked = whole;
+  masked.active_edges = sparse_mask(g, 77);
+  IsraeliItaiOptions masked_from_initial = masked;
+  masked_from_initial.initial = partial_matching(g);
+  ASSERT_GT(masked_from_initial.initial->size(), 0u);
+  for (const IsraeliItaiOptions& active :
+       {whole, masked, masked_from_initial}) {
+    IsraeliItaiOptions all = active;
+    all.step_all_nodes = true;
+    expect_same_run(g, israeli_itai(g, active), israeli_itai(g, all));
+  }
+}
+
+TEST(IsraeliItai, InitialMatchingEqualsMaskingItsVertices) {
+  // Initially matched vertices never act, and their neighbors must see
+  // them as taken from round 0 on. So a run from matching M equals a
+  // run without M over the edges between M-free vertices: same draws,
+  // same announcements (sent on every incident edge either way), and
+  // the same matching once M is added back.
+  Rng rng(51);
+  const Graph g = erdos_renyi(500, 6.0 / 500, rng);
+  IsraeliItaiOptions from_initial;
+  from_initial.seed = 8;
+  from_initial.initial = partial_matching(g);
+  IsraeliItaiOptions masked;
+  masked.seed = 8;
+  masked.active_edges.assign(g.num_edges(), 0);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const Edge& ed = g.edge(e);
+    masked.active_edges[e] = from_initial.initial->is_free(ed.u) &&
+                             from_initial.initial->is_free(ed.v);
+  }
+  const DistMatchingResult a = israeli_itai(g, from_initial);
+  const DistMatchingResult b = israeli_itai(g, masked);
+  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
+  EXPECT_EQ(a.stats.messages, b.stats.messages);
+  EXPECT_EQ(a.stats.total_bits, b.stats.total_bits);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(ra.matching.matched_edge(v), rb.matching.matched_edge(v)) << v;
+    const EdgeId expect = from_initial.initial->is_free(v)
+                              ? b.matching.matched_edge(v)
+                              : from_initial.initial->matched_edge(v);
+    EXPECT_EQ(a.matching.matched_edge(v), expect) << v;
+  }
+}
+
+TEST(IsraeliItaiRunner, ReuseMatchesFreshRuns) {
+  // One runner, one network, many runs: each must equal a fresh
+  // israeli_itai on the same options — across masks, seeds, an initial
+  // matching, and a faulted run whose injector and held-back messages
+  // must not leak into the fault-free run after it.
+  Rng rng(41);
+  const Graph g = erdos_renyi(600, 6.0 / 600, rng);
+  ThreadPool pool(4);
+  std::vector<IsraeliItaiOptions> runs(6);
+  runs[0].active_edges = sparse_mask(g, 1);
+  runs[1].active_edges = sparse_mask(g, 2);
+  runs[2].initial = partial_matching(g);
+  runs[3].active_edges = sparse_mask(g, 3);
+  runs[3].faults = "drop10";
+  runs[4].active_edges = runs[3].active_edges;
+  runs[5].active_edges = sparse_mask(g, 4);
+  runs[5].initial = partial_matching(g);
+  IsraeliItaiRunner runner(g);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE(i);
+    runs[i].seed = 100 + i;
+    runs[i].pool = &pool;
+    const DistMatchingResult reused = runner.run(runs[i]);
+    expect_same_run(g, reused, israeli_itai(g, runs[i]));
   }
 }
 

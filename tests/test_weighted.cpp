@@ -3,6 +3,10 @@
 // Algorithm 5 (Theorem 4.5).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
+#include <stdexcept>
+
 #include "core/class_mwm.hpp"
 #include "core/gain.hpp"
 #include "core/weighted_mwm.hpp"
@@ -176,6 +180,46 @@ TEST(ClassMwm, EmptyGraph) {
   const WeightedGraph wg{Graph(3, {}), {}};
   const ClassMwmResult res = class_mwm(wg, {.seed = 1});
   EXPECT_EQ(res.matching.size(), 0u);
+}
+
+TEST(ClassMwm, BaseNearOneCostsOnlyTheNonEmptyClasses) {
+  // class_base = 1 + 1e-7 spreads weights in [1, 100] over ~46M
+  // classes, nearly all empty. Bucketing edges by class keeps the run
+  // O(m log m); the survival sweep still charges one round per class.
+  Rng rng(9);
+  Graph g = erdos_renyi(64, 0.1, rng);
+  ASSERT_GT(g.num_edges(), 0u);
+  auto w = uniform_weights(g.num_edges(), 1.0, 100.0, rng);
+  const WeightedGraph wg = make_weighted(std::move(g), std::move(w));
+  ClassMwmOptions opts;
+  opts.class_base = 1.0000001;
+  double lo = HUGE_VAL;
+  double hi = -HUGE_VAL;
+  for (EdgeId e = 0; e < wg.graph.num_edges(); ++e) {
+    const double c =
+        std::floor(std::log(wg.weight(e)) / std::log(opts.class_base));
+    lo = std::min(lo, c);
+    hi = std::max(hi, c);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  const ClassMwmResult res = class_mwm(wg, opts);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(res.num_classes, static_cast<std::size_t>(hi - lo + 1));
+  EXPECT_GT(res.num_classes, 10'000'000u);
+  EXPECT_GE(res.stats.rounds, res.num_classes);
+  EXPECT_TRUE(is_valid_matching(wg.graph, res.matching.edge_ids(wg.graph)));
+  // Scanning every class (the old loop) took seconds here.
+  EXPECT_LT(took.count(), 2.0);
+}
+
+TEST(ClassMwm, RejectsClassIndicesOutsideIntRange) {
+  Graph g = path_graph(4);
+  const WeightedGraph wg =
+      make_weighted(std::move(g), std::vector<double>{1.0, 50.0, 100.0});
+  ClassMwmOptions opts;
+  opts.class_base = 1.000000000000001;  // log(100)/log(base) ~ 4e15
+  EXPECT_THROW(class_mwm(wg, opts), std::invalid_argument);
 }
 
 // -------------------------------------------- Algorithm 5 / Thm 4.5 ---
