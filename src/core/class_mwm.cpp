@@ -49,21 +49,12 @@ ClassMwmResult class_mwm(const WeightedGraph& wg,
       static_cast<std::size_t>(std::int64_t{hi} - lo + 1);
   result.num_classes = num_classes;
 
-  // Bucket the edges by class once, ascending class then edge id: a
-  // counting sort when there are at most m classes; past that nearly
-  // all are empty, and a comparison sort keeps time O(m log m) and
-  // memory O(m).
+  // Bucket the edges by class once, ascending class then edge id: time
+  // O(m log m) and memory O(m) however many classes are empty.
   std::vector<EdgeId> by_class(m);
-  if (num_classes <= m) {
-    std::vector<EdgeId> next(num_classes + 1, 0);
-    for (EdgeId e = 0; e < m; ++e) ++next[rank(e) + 1];
-    std::partial_sum(next.begin(), next.end(), next.begin());
-    for (EdgeId e = 0; e < m; ++e) by_class[next[rank(e)]++] = e;
-  } else {
-    std::iota(by_class.begin(), by_class.end(), EdgeId{0});
-    std::stable_sort(by_class.begin(), by_class.end(),
-                     [&](EdgeId a, EdgeId b) { return cls[a] < cls[b]; });
-  }
+  std::iota(by_class.begin(), by_class.end(), EdgeId{0});
+  std::stable_sort(by_class.begin(), by_class.end(),
+                   [&](EdgeId a, EdgeId b) { return cls[a] < cls[b]; });
 
   // Step 2: per-class maximal matchings, composed in parallel (the
   // classes partition E, so their channel sets are disjoint: the round

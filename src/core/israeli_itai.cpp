@@ -89,10 +89,7 @@ DistMatchingResult IsraeliItaiRunner::run(const IsraeliItaiOptions& opts) {
   IiNet& net = *net_;
   net.reset(opts.seed);
   net.set_thread_pool(opts.pool);
-  if (opts.shards != shards_) {
-    net.set_shards(opts.shards);
-    shards_ = opts.shards;
-  }
+  net.set_shards(opts.shards);
   net.step_all_nodes(opts.step_all_nodes);
   // reset() keeps an injector attached, so attach or detach every run.
   injector_ = faults::make_message_injector(opts.faults, opts.seed);

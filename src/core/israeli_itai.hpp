@@ -80,9 +80,11 @@ struct DistMatchingResult {
 /// bit-identical to a fresh israeli_itai(g, opts).
 ///
 /// A run over `active_edges` steps in round 0 only the endpoints of
-/// active edges, so it costs O(active edges + the traffic they cause)
-/// in the engine rather than O(n): a vertex with no active edge never
-/// sends and never changes state another vertex reads.
+/// active edges rather than all n vertices: a vertex with no active
+/// edge never sends and never changes state another vertex reads. Each
+/// run still pays O(n + m) outside the engine's rounds (refilling the
+/// per-node and per-arc buffers, scanning the mask, collecting the
+/// matching) and O(n) per phase for the termination check.
 class IsraeliItaiRunner {
  public:
   /// `g` must outlive the runner.
@@ -95,7 +97,6 @@ class IsraeliItaiRunner {
   struct Net;
   const Graph* g_;
   std::unique_ptr<Net> net_;
-  unsigned shards_ = 0;  // the shard request the network is planned for
   std::unique_ptr<faults::MessageFaultInjector> injector_;
   // Per-node state, indexed by node id (each node touches only its own
   // entries during a round); refilled by every run.

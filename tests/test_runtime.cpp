@@ -431,17 +431,21 @@ TEST(IsraeliItaiRunner, ReuseMatchesFreshRuns) {
   // One runner, one network, many runs: each must equal a fresh
   // israeli_itai on the same options — across masks, seeds, an initial
   // matching, and a faulted run whose injector and held-back messages
-  // must not leak into the fault-free run after it.
+  // must not leak into the fault-free run after it, and shard requests
+  // that change from run to run (shards are at least 1024 vertices
+  // wide, so n = 3000 gives the network up to 3 of them).
   Rng rng(41);
-  const Graph g = erdos_renyi(600, 6.0 / 600, rng);
+  const Graph g = erdos_renyi(3000, 6.0 / 3000, rng);
   ThreadPool pool(4);
   std::vector<IsraeliItaiOptions> runs(6);
   runs[0].active_edges = sparse_mask(g, 1);
   runs[1].active_edges = sparse_mask(g, 2);
+  runs[1].shards = 4;
   runs[2].initial = partial_matching(g);
   runs[3].active_edges = sparse_mask(g, 3);
   runs[3].faults = "drop10";
   runs[4].active_edges = runs[3].active_edges;
+  runs[4].shards = 2;
   runs[5].active_edges = sparse_mask(g, 4);
   runs[5].initial = partial_matching(g);
   IsraeliItaiRunner runner(g);

@@ -209,7 +209,11 @@ TEST(ClassMwm, BaseNearOneCostsOnlyTheNonEmptyClasses) {
   EXPECT_GT(res.num_classes, 10'000'000u);
   EXPECT_GE(res.stats.rounds, res.num_classes);
   EXPECT_TRUE(is_valid_matching(wg.graph, res.matching.edge_ids(wg.graph)));
-  // Scanning every class (the old loop) took seconds here.
+  // The checks above are deterministic but cannot see a pass over every
+  // class, which returns the same result; only time does. The bound is
+  // far from both sides: this call takes about 1 ms in Release and 4 ms
+  // under ASan+UBSan (4-vCPU Xeon), 500x under the bound, while a pass
+  // of all m edges per class took 5.6-8 s in Release.
   EXPECT_LT(took.count(), 2.0);
 }
 
