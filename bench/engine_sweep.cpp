@@ -57,8 +57,7 @@ struct EngineRunResult {
 EngineRunResult measure_engine_rounds_on(const Graph& g, NodeId n,
                                          double avg_deg, double min_seconds,
                                          unsigned shards_req) {
-  EngineNet net(g, 1, {});
-  net.set_shards(shards_req);
+  EngineNet net(g, 1, {}, {.shards = shards_req});
   for (int r = 0; r < 3; ++r) net.run_round(EngineStep{});
   const std::uint64_t msgs0 = net.stats().messages;
   const auto t0 = std::chrono::steady_clock::now();
@@ -71,7 +70,7 @@ EngineRunResult measure_engine_rounds_on(const Graph& g, NodeId n,
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
   }
-  return {n,      avg_deg,       g.num_edges(), net.shards(),
+  return {n,      avg_deg,       g.num_edges(), net.shard_plan().count,
           rounds, net.stats().messages - msgs0, elapsed};
 }
 

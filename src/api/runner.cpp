@@ -1,6 +1,7 @@
 #include "api/runner.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -120,14 +121,21 @@ Instance make_instance(const std::string& spec, std::uint64_t seed) {
     std::fill(side.begin() + a, side.end(), std::uint8_t{1});
     return finish(args, complete_bipartite(a, b), rng, std::move(side));
   }
+  // A finite p in [0, 1], or a finite deg >= 0; a deg at or above the
+  // denominator gives the complete graph.
   const auto density_arg = [&](NodeId denominator) {
-    if (args.has("p") && args.has("deg")) {
+    const bool has_p = args.has("p");
+    if (has_p && args.has("deg")) {
       throw std::invalid_argument("generator '" + family +
                                   "': 'p' and 'deg' are mutually exclusive");
     }
-    return args.has("p") ? args.get_double("p", 0.0)
-                         : args.get_double("deg", 4.0) /
-                               static_cast<double>(denominator);
+    const std::string key = has_p ? "p" : "deg";
+    const double v = args.get_double(key, 4.0);  // the default deg
+    if (!std::isfinite(v) || v < 0.0 || (has_p && v > 1.0)) {
+      throw std::invalid_argument("generator '" + family + "': key '" + key +
+                                  "' out of range: " + args.get(key, ""));
+    }
+    return has_p ? v : v / static_cast<double>(denominator);
   };
 
   if (family == "er") {
@@ -582,7 +590,7 @@ RunResult run_one(const RunSpec& spec) {
   if (!config.seed_was_set()) config.seed(spec.solver_seed);
   // Likewise `shards=`; 0 means auto in both places, so only a nonzero
   // config entry can differ from the RunSpec default.
-  if (config.shards() == 0) config.shards(spec.shards);
+  if (config.exec().shards == 0) config.shards(spec.shards);
   // Fault plan: parsed — and rejected — before any solve work, on the
   // same error path as generator and config typos, so the runner's
   // one-line-diagnostic contract holds for fault specs too.

@@ -114,7 +114,7 @@ std::string SolverConfig::to_string() const {
   }
   if (!out.empty()) out += ',';
   out += "seed=" + std::to_string(seed_);
-  if (shards_ != 0) out += ",shards=" + std::to_string(shards_);
+  if (exec_.shards != 0) out += ",shards=" + std::to_string(exec_.shards);
   return out;
 }
 

@@ -9,9 +9,9 @@
 //  * Instance      — a graph, optional edge weights, optional known
 //                    bipartition. One input type for all solvers.
 //  * SolverConfig  — string key/value configuration (parsed with
-//                    util/options' kv grammar) plus the two cross-
-//                    cutting knobs every algorithm shares: the seed and
-//                    the ThreadPool.
+//                    util/options' kv grammar) plus the cross-cutting
+//                    knobs every algorithm shares: the seed and the
+//                    ExecContext (thread pool, shard request).
 //  * Capabilities  — what a solver accepts (bipartite/general/weighted)
 //                    and what its output means (distributed/exact/
 //                    maximal/primitive).
@@ -30,8 +30,8 @@
 
 #include "graph/graph.hpp"
 #include "graph/matching.hpp"
+#include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace lps::api {
 
@@ -89,12 +89,10 @@ class SolverConfig {
     seed_set_ = true;
     return *this;
   }
-  /// Shard count for the round engine: 0 = auto (size to the detected
-  /// L2 cache), 1 = single-shard, k = at most k shards. Universal like
-  /// seed/pool — every engine-backed solver forwards it to
-  /// SyncNetwork::set_shards; results are bit-identical for any value.
+  /// Shard request for every engine-backed solver (ExecContext::shards,
+  /// handed over by exec()); results are bit-identical for any value.
   SolverConfig& shards(unsigned s) noexcept {
-    shards_ = s;
+    exec_.shards = s;
     return *this;
   }
   /// True once the seed was set explicitly (via seed(), set("seed",..),
@@ -102,7 +100,7 @@ class SolverConfig {
   /// an explicit config seed instead of clobbering it.
   bool seed_was_set() const noexcept { return seed_set_; }
   SolverConfig& pool(ThreadPool* p) noexcept {
-    pool_ = p;
+    exec_.pool = p;
     return *this;
   }
 
@@ -117,8 +115,7 @@ class SolverConfig {
   bool get_bool(const std::string& key, bool fallback) const;
 
   std::uint64_t seed() const noexcept { return seed_; }
-  unsigned shards() const noexcept { return shards_; }
-  ThreadPool* pool() const noexcept { return pool_; }
+  const ExecContext& exec() const noexcept { return exec_; }
   const std::map<std::string, std::string>& entries() const noexcept {
     return values_;
   }
@@ -130,8 +127,7 @@ class SolverConfig {
   std::map<std::string, std::string> values_;
   std::uint64_t seed_ = 1;
   bool seed_set_ = false;
-  unsigned shards_ = 0;  // 0 = auto-size to the L2 cache
-  ThreadPool* pool_ = nullptr;
+  ExecContext exec_;
 };
 
 /// What a solver accepts and what its result means.

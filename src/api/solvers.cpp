@@ -154,8 +154,7 @@ void register_core(SolverRegistry& reg) {
         IsraeliItaiOptions o;
         o.seed = cfg.seed();
         o.max_phases = cfg.get_count("max_phases", 0);
-        o.pool = cfg.pool();
-        o.shards = cfg.shards();
+        o.exec = cfg.exec();
         o.faults = cfg.get("faults", "");
         auto res = israeli_itai(inst.graph(), o);
         SolveResult out =
@@ -181,8 +180,7 @@ void register_core(SolverRegistry& reg) {
         o.max_conflict_nodes = cfg.get_count("max_conflict_nodes", 4 << 20);
         o.use_abi_mis = cfg.get_bool("use_abi_mis", false);
         o.check_invariants = cfg.get_bool("check_invariants", false);
-        o.pool = cfg.pool();
-        o.shards = cfg.shards();
+        o.exec = cfg.exec();
         auto res = generic_mcm(inst.graph(), o);
         SolveResult out = make_result(std::move(res.matching), res.stats);
         out.metrics["phases"] = static_cast<double>(res.phases.size());
@@ -208,8 +206,7 @@ void register_core(SolverRegistry& reg) {
         o.seed = cfg.seed();
         o.max_iterations_per_phase =
             cfg.get_count("max_iterations_per_phase", 0);
-        o.pool = cfg.pool();
-        o.shards = cfg.shards();
+        o.exec = cfg.exec();
         auto res = bipartite_mcm(inst.graph(), side, o);
         SolveResult out =
             make_result(std::move(res.matching), res.stats, res.converged);
@@ -257,8 +254,7 @@ void register_core(SolverRegistry& reg) {
         o.empty_streak_stop = cfg.get_count("empty_streak_stop", 0);
         o.oracle_optimum_size = cfg.get_count("oracle_optimum_size", 0);
         o.max_aug_iterations = cfg.get_count("max_aug_iterations", 0);
-        o.pool = cfg.pool();
-        o.shards = cfg.shards();
+        o.exec = cfg.exec();
         auto res = general_mcm(inst.graph(), o);
         // Converged = the adaptive exit fired or the full analysis
         // budget ran; an explicit max_iterations below the paper
@@ -285,8 +281,7 @@ void register_core(SolverRegistry& reg) {
       [](const Instance& inst, const SolverConfig& cfg) {
         HoepmanOptions o;
         o.max_rounds = cfg.get_count("max_rounds", 0);
-        o.pool = cfg.pool();
-        o.shards = cfg.shards();
+        o.exec = cfg.exec();
         auto res = hoepman_mwm(inst.weighted_graph(), o);
         return make_result(std::move(res.matching), res.stats, res.converged);
       });
@@ -304,8 +299,7 @@ void register_core(SolverRegistry& reg) {
         o.seed = cfg.seed();
         o.class_base = cfg.get_double("class_base", 2.0);
         o.max_phases_per_class = cfg.get_count("max_phases_per_class", 0);
-        o.pool = cfg.pool();
-        o.shards = cfg.shards();
+        o.exec = cfg.exec();
         auto res = class_mwm(inst.weighted_graph(), o);
         SolveResult out =
             make_result(std::move(res.matching), res.stats, res.converged);
@@ -329,18 +323,16 @@ void register_core(SolverRegistry& reg) {
         o.eps = config_eps(cfg, 0.1);
         o.delta = cfg.get_double("delta", 0.2);
         o.seed = cfg.seed();
+        // "class" leaves black_box empty: weighted_mwm's default.
         const std::string box = cfg.get("black_box", "class");
-        if (box == "class") {
-          o.black_box = class_mwm_black_box(cfg.pool(), cfg.shards());
-        } else if (box == "greedy") {
+        if (box == "greedy") {
           o.black_box = greedy_black_box();
-        } else {
+        } else if (box != "class") {
           throw std::invalid_argument(
               "weighted_mwm: black_box must be 'class' or 'greedy'");
         }
         o.max_iterations = cfg.get_count("max_iterations", 0);
-        o.pool = cfg.pool();
-        o.shards = cfg.shards();
+        o.exec = cfg.exec();
         auto res = weighted_mwm(inst.weighted_graph(), o);
         // Lemma 4.3's iteration budget; an explicit cap below it makes
         // the run truncated, not converged.
@@ -378,9 +370,7 @@ void register_core(SolverRegistry& reg) {
         for (NodeId v = 0; v < g.num_nodes(); ++v) {
           values[v] = BigCounter(g.degree(v));
         }
-        auto res =
-            pipelined_max(g, root, values, chunk_bits, cfg.pool(),
-                          cfg.shards());
+        auto res = pipelined_max(g, root, values, chunk_bits, cfg.exec());
         SolveResult out = make_result(Matching(g.num_nodes()), res.stats);
         out.metrics["maximum"] = res.maximum.to_double();
         out.metrics["tree_depth"] = static_cast<double>(res.tree_depth);

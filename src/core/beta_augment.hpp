@@ -28,8 +28,8 @@
 #include <vector>
 
 #include "graph/matching.hpp"
+#include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace lps {
 
@@ -52,10 +52,7 @@ struct LocalMwmOptions {
   int beta = 3;  // fixed point gives a beta/(beta+1)-approximation
   std::uint64_t max_phases = 0;  // 0 = auto (n + 16; each phase improves)
   std::size_t max_augmentations = 1u << 20;
-  ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
+  ExecContext exec;
 };
 
 struct LocalMwmResult {

@@ -32,14 +32,12 @@ struct PathCounter::Net : CountNet {
 };
 
 PathCounter::PathCounter(const Graph& g, const std::vector<std::uint8_t>& side,
-                         ThreadPool* pool, unsigned shards)
+                         const ExecContext& exec)
     : g_(&g), side_(&side) {
   if (side.size() != g.num_nodes()) {
     throw std::invalid_argument("count_augmenting_paths: side size");
   }
-  net_ = std::make_unique<Net>(g, /*seed=*/0, CountBits{});
-  net_->set_thread_pool(pool);
-  net_->set_shards(shards);
+  net_ = std::make_unique<Net>(g, /*seed=*/0, CountBits{}, exec);
   out_.depth.resize(g.num_nodes());
   out_.total.resize(g.num_nodes());
   out_.endpoint.resize(g.num_nodes());
@@ -149,8 +147,8 @@ CountingResult count_augmenting_paths(const Graph& g,
                                       const std::vector<std::uint8_t>& side,
                                       const Matching& m, int max_len,
                                       const std::vector<char>& active_edges,
-                                      ThreadPool* pool, unsigned shards) {
-  PathCounter counter(g, side, pool, shards);
+                                      const ExecContext& exec) {
+  PathCounter counter(g, side, exec);
   counter.run(m, max_len, active_edges);
   return counter.take_result();
 }

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "graph/matching.hpp"
+#include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/bigint.hpp"
 
 namespace lps {
@@ -56,7 +56,7 @@ class PathCounter {
   /// `side` 2-colors the active subgraph (side 0 = X); it and `g` must
   /// outlive the counter.
   PathCounter(const Graph& g, const std::vector<std::uint8_t>& side,
-              ThreadPool* pool = nullptr, unsigned shards = 0);
+              const ExecContext& exec = {});
   ~PathCounter();  // out of line: Net is incomplete here
 
   /// Run the counting BFS for paths of length <= max_len (odd) against
@@ -95,8 +95,7 @@ CountingResult count_augmenting_paths(const Graph& g,
                                       const std::vector<std::uint8_t>& side,
                                       const Matching& m, int max_len,
                                       const std::vector<char>& active_edges,
-                                      ThreadPool* pool = nullptr,
-                                      unsigned shards = 0);
+                                      const ExecContext& exec = {});
 
 /// Brute-force oracle: the number of augmenting paths of length exactly
 /// `len` w.r.t. m ending at free Y node `y`, restricted to active edges.

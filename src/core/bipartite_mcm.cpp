@@ -98,11 +98,9 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
   // One count network, one token network and one set of per-node
   // columns for the whole call: every iteration resets them instead of
   // rebuilding (the graph never changes, only the matching does).
-  PathCounter counter(g, side, opts.pool, opts.shards);
+  PathCounter counter(g, side, opts.exec);
   const CountingResult& counting = counter.result();
-  TokenNet net(g, /*seed=*/0, TokenBits{id_bits});
-  net.set_thread_pool(opts.pool);
-  net.set_shards(opts.shards);
+  TokenNet net(g, /*seed=*/0, TokenBits{id_bits}, opts.exec);
   std::vector<TokenState> tok(n);
   std::vector<char> flipped(n, 0);
   std::vector<EdgeId> new_match_edge(n, kInvalidEdge);
@@ -286,8 +284,7 @@ BipartiteMcmResult bipartite_mcm(const Graph& g,
     AugOptions aug_opts;
     aug_opts.seed = splitmix64(opts.seed ^ (0xb1ca00 + l));
     aug_opts.max_iterations = opts.max_iterations_per_phase;
-    aug_opts.pool = opts.pool;
-    aug_opts.shards = opts.shards;
+    aug_opts.exec = opts.exec;
     AugResult aug = bipartite_aug(g, side, result.matching, l, {}, aug_opts);
     result.stats.merge(aug.stats);
     result.phases.push_back({l, aug.iterations, aug.paths_applied});

@@ -30,8 +30,8 @@
 
 #include "core/bipartite_counting.hpp"
 #include "graph/matching.hpp"
+#include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace lps {
 
@@ -40,10 +40,7 @@ struct AugOptions {
   /// Iteration cap; 0 = auto (generous multiple of log of the conflict
   /// graph size bound n * Delta^{(l+1)/2}).
   std::uint64_t max_iterations = 0;
-  ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
+  ExecContext exec;
 };
 
 struct AugResult {
@@ -65,10 +62,7 @@ struct BipartiteMcmOptions {
   int k = 3;  // target ratio 1 - 1/(k+1); paper states 1 - 1/k via l=2k-1
   std::uint64_t seed = 1;
   std::uint64_t max_iterations_per_phase = 0;
-  ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
+  ExecContext exec;
 };
 
 struct BipartitePhaseInfo {

@@ -63,12 +63,10 @@ ClassMwmResult class_mwm(const WeightedGraph& wg,
   // run, clear them.
   std::vector<std::vector<EdgeId>> class_matchings;  // ascending class
   std::uint64_t parallel_rounds = 0;
-  IsraeliItaiRunner runner(g);
+  IsraeliItaiRunner runner(g, opts.exec);
   IsraeliItaiOptions ii;
   ii.max_phases = opts.max_phases_per_class;
   ii.active_edges.assign(m, 0);
-  ii.pool = opts.pool;
-  ii.shards = opts.shards;
   for (std::size_t begin = 0; begin < m;) {
     const std::size_t c = rank(by_class[begin]);
     std::size_t end = begin;

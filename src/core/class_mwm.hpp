@@ -25,8 +25,8 @@
 #pragma once
 
 #include "graph/matching.hpp"
+#include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace lps {
 
@@ -34,10 +34,7 @@ struct ClassMwmOptions {
   std::uint64_t seed = 1;
   double class_base = 2.0;  // geometric class growth factor (> 1)
   std::uint64_t max_phases_per_class = 0;  // Israeli–Itai cap; 0 = auto
-  ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
+  ExecContext exec;
 };
 
 struct ClassMwmResult {

@@ -9,8 +9,7 @@
 namespace lps {
 
 std::vector<double> gain_weights(const WeightedGraph& wg, const Matching& m,
-                                 NetStats* stats, ThreadPool* pool,
-                                 unsigned shards) {
+                                 NetStats* stats, const ExecContext& exec) {
   const Graph& g = wg.graph;
   std::vector<double> gains(g.num_edges(), 0.0);
 
@@ -25,9 +24,7 @@ std::vector<double> gain_weights(const WeightedGraph& wg, const Matching& m,
       std::uint64_t operator()(const WeightMsg&) const noexcept { return 64; }
     };
     using WeightNet = SyncNetwork<WeightMsg, WeightBits>;
-    WeightNet net(g, 0, WeightBits{});
-    net.set_thread_pool(pool);
-    net.set_shards(shards);
+    WeightNet net(g, 0, WeightBits{}, exec);
     auto step = [&](WeightNet::Ctx& ctx) {
       const NodeId v = ctx.id();
       if (ctx.round() == 0 && !m.is_free(v)) {

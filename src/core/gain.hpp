@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "graph/matching.hpp"
+#include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace lps {
 
@@ -21,8 +21,7 @@ namespace lps {
 /// and accounted there (each endpoint then computes w_M locally).
 std::vector<double> gain_weights(const WeightedGraph& wg, const Matching& m,
                                  NetStats* stats = nullptr,
-                                 ThreadPool* pool = nullptr,
-                                 unsigned shards = 0);
+                                 const ExecContext& exec = {});
 
 /// wrap(e) w.r.t. m: e plus the matched edges at its endpoints.
 /// Requires e unmatched (checked).

@@ -74,8 +74,7 @@ GeneralMcmResult general_mcm(const Graph& g, const GeneralMcmOptions& opts) {
     AugOptions aug_opts;
     aug_opts.seed = splitmix64(opts.seed ^ (iter * 0xc2b2ae3d27d4eb4fULL));
     aug_opts.max_iterations = opts.max_aug_iterations;
-    aug_opts.pool = opts.pool;
-    aug_opts.shards = opts.shards;
+    aug_opts.exec = opts.exec;
     AugResult aug =
         bipartite_aug(g, color, result.matching, l, active_edge, aug_opts);
     result.stats.merge(aug.stats);

@@ -23,7 +23,7 @@ GenericMcmResult generic_mcm(const Graph& g, const GenericMcmOptions& opts) {
 
   for (int l = 1; l <= 2 * k - 1; l += 2) {
     // Step 4 (Algorithm 2): gather radius-2l views.
-    BallViews views = collect_balls(g, result.matching, 2 * l, opts.pool, opts.shards);
+    BallViews views = collect_balls(g, result.matching, 2 * l, opts.exec);
     result.stats.merge(views.stats);
 
     // Conflict graph C_M(l) from the per-leader enumerations.
@@ -40,8 +40,7 @@ GenericMcmResult generic_mcm(const Graph& g, const GenericMcmOptions& opts) {
       // physical rounds on G (Lemma 3.3).
       MisOptions mis_opts;
       mis_opts.seed = splitmix64(opts.seed ^ (0x9e37u + l));
-      mis_opts.pool = opts.pool;
-      mis_opts.shards = opts.shards;
+      mis_opts.exec = opts.exec;
       MisResult mis = opts.use_abi_mis ? abi_mis(cg.conflict, mis_opts)
                                        : luby_mis(cg.conflict, mis_opts);
       if (!mis.converged) {

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "graph/matching.hpp"
+#include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace lps {
 
@@ -32,10 +32,7 @@ struct GenericMcmOptions {
   /// Step 5's MIS subroutine: Luby [20] (default) or Alon–Babai–Itai
   /// [1] — the two options the paper's Lemma 3.3 proof names.
   bool use_abi_mis = false;
-  ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
+  ExecContext exec;
   /// If true, assert the Lemma 3.4 invariant after every phase using the
   /// exact bounded-path oracle (test mode; exponential in l).
   bool check_invariants = false;

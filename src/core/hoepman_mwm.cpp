@@ -41,9 +41,7 @@ HoepmanResult hoepman_mwm(const WeightedGraph& wg,
   }
   std::vector<EdgeId> target(n, kInvalidEdge);
 
-  HoepNet net(g, /*seed=*/0, HoepBits{});
-  net.set_thread_pool(opts.pool);
-  net.set_shards(opts.shards);
+  HoepNet net(g, /*seed=*/0, HoepBits{}, opts.exec);
 
   // Active-set contract: a free node pointing at a live target re-issues
   // its request every round, so it keeps itself alive; a node whose

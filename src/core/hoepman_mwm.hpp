@@ -18,18 +18,15 @@
 #pragma once
 
 #include "graph/matching.hpp"
+#include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace lps {
 
 struct HoepmanOptions {
   /// Round cap; 0 = 4n + 16.
   std::uint64_t max_rounds = 0;
-  ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
+  ExecContext exec;
 };
 
 struct HoepmanResult {

@@ -34,8 +34,8 @@ struct IsraeliItaiRunner::Net : IiNet {
   using IiNet::IiNet;
 };
 
-IsraeliItaiRunner::IsraeliItaiRunner(const Graph& g)
-    : g_(&g), net_(std::make_unique<Net>(g, /*seed=*/0, IiBits{})) {}
+IsraeliItaiRunner::IsraeliItaiRunner(const Graph& g, const ExecContext& exec)
+    : g_(&g), net_(std::make_unique<Net>(g, /*seed=*/0, IiBits{}, exec)) {}
 
 IsraeliItaiRunner::~IsraeliItaiRunner() = default;
 
@@ -88,8 +88,6 @@ DistMatchingResult IsraeliItaiRunner::run(const IsraeliItaiOptions& opts) {
 
   IiNet& net = *net_;
   net.reset(opts.seed);
-  net.set_thread_pool(opts.pool);
-  net.set_shards(opts.shards);
   net.step_all_nodes(opts.step_all_nodes);
   // reset() keeps an injector attached, so attach or detach every run.
   injector_ = faults::make_message_injector(opts.faults, opts.seed);
@@ -287,7 +285,7 @@ DistMatchingResult IsraeliItaiRunner::run(const IsraeliItaiOptions& opts) {
 
 DistMatchingResult israeli_itai(const Graph& g,
                                 const IsraeliItaiOptions& opts) {
-  return IsraeliItaiRunner(g).run(opts);
+  return IsraeliItaiRunner(g, opts.exec).run(opts);
 }
 
 }  // namespace lps

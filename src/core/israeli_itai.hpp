@@ -21,8 +21,8 @@
 #include <optional>
 
 #include "graph/matching.hpp"
+#include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace lps {
 
@@ -40,10 +40,8 @@ struct IsraeliItaiOptions {
   /// Start from this matching instead of the empty one (its endpoints
   /// count as already matched).
   std::optional<Matching> initial;
-  ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto-size to the L2 cache, 1 =
-  /// single shard). Bit-identical results for any value.
-  unsigned shards = 0;
+  /// Used by israeli_itai(); a runner keeps its construction context.
+  ExecContext exec;
   /// Step every node every round instead of the active set (same
   /// execution bit for bit; costs O(n) per round instead of O(free
   /// nodes + traffic)). Exposed for the equivalence test.
@@ -87,8 +85,8 @@ struct DistMatchingResult {
 /// matching) and O(n) per phase for the termination check.
 class IsraeliItaiRunner {
  public:
-  /// `g` must outlive the runner.
-  explicit IsraeliItaiRunner(const Graph& g);
+  /// `g` must outlive the runner; `exec` serves every run.
+  explicit IsraeliItaiRunner(const Graph& g, const ExecContext& exec = {});
   ~IsraeliItaiRunner();  // out of line: Net is incomplete here
 
   DistMatchingResult run(const IsraeliItaiOptions& opts);
@@ -108,7 +106,7 @@ class IsraeliItaiRunner {
   std::vector<std::uint8_t> neighbor_free_;
 };
 
-/// One run on a fresh IsraeliItaiRunner.
+/// One run on a fresh IsraeliItaiRunner built with opts.exec.
 DistMatchingResult israeli_itai(const Graph& g,
                                 const IsraeliItaiOptions& opts = {});
 

@@ -26,7 +26,7 @@ using GossipNet = SyncNetwork<GossipMessage, GossipBits>;
 }  // namespace
 
 BallViews collect_balls(const Graph& g, const Matching& m, int radius,
-                        ThreadPool* pool, unsigned shards) {
+                        const ExecContext& exec) {
   const NodeId n = g.num_nodes();
   std::uint64_t id_bits = 1;
   while ((std::uint64_t{1} << id_bits) < n) ++id_bits;
@@ -51,9 +51,7 @@ BallViews collect_balls(const Graph& g, const Matching& m, int radius,
     }
   }
 
-  GossipNet net(g, /*seed=*/0, GossipBits{id_bits});
-  net.set_thread_pool(pool);
-  net.set_shards(shards);
+  GossipNet net(g, /*seed=*/0, GossipBits{id_bits}, exec);
 
   // Purely message-driven after the round-0 seed flood (a node with no
   // arrivals has nothing fresh to forward), so the active-set default —

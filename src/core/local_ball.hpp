@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "graph/matching.hpp"
+#include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace lps {
 
@@ -32,6 +32,6 @@ struct BallViews {
 };
 
 BallViews collect_balls(const Graph& g, const Matching& m, int radius,
-                        ThreadPool* pool = nullptr, unsigned shards = 0);
+                        const ExecContext& exec = {});
 
 }  // namespace lps

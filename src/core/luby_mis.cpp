@@ -117,9 +117,7 @@ MisResult luby_mis(const Graph& g, const MisOptions& opts) {
   std::vector<NodeState> state(n, NodeState::kLive);
   std::vector<std::uint64_t> my_value(n, 0);
 
-  MisNet net(g, opts.seed, MisBits{});
-  net.set_thread_pool(opts.pool);
-  net.set_shards(opts.shards);
+  MisNet net(g, opts.seed, MisBits{}, opts.exec);
   const std::unique_ptr<faults::MessageFaultInjector> injector =
       faults::make_message_injector(opts.faults, opts.seed);
   if (injector != nullptr) net.set_message_faults(injector.get());
@@ -218,9 +216,7 @@ MisResult abi_mis(const Graph& g, const MisOptions& opts) {
   std::vector<std::uint32_t> live_degree(n);
   for (NodeId v = 0; v < n; ++v) live_degree[v] = g.degree(v);
 
-  AbiNet net(g, opts.seed, AbiBits{});
-  net.set_thread_pool(opts.pool);
-  net.set_shards(opts.shards);
+  AbiNet net(g, opts.seed, AbiBits{}, opts.exec);
   const std::unique_ptr<faults::MessageFaultInjector> injector =
       faults::make_message_injector(opts.faults, opts.seed);
   if (injector != nullptr) net.set_message_faults(injector.get());

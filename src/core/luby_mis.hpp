@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace lps {
 
@@ -25,10 +25,7 @@ struct MisOptions {
   std::uint64_t seed = 1;
   /// Cap on phases; 0 picks 40 + 12*ceil(log2(n+1)).
   std::uint64_t max_phases = 0;
-  ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
+  ExecContext exec;
   /// Fault-injection spec ("" = fault-free): preset name or explicit
   /// `name:key=value,...` plan (src/faults), applied at the engine's
   /// channel exchange. After the round budget a resync loop restores a

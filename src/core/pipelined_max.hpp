@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/bigint.hpp"
 
 namespace lps {
@@ -40,7 +40,6 @@ struct PipelinedMaxResult {
 PipelinedMaxResult pipelined_max(const Graph& g, NodeId root,
                                  const std::vector<std::optional<BigCounter>>& values,
                                  int chunk_bits,
-                                 ThreadPool* pool = nullptr,
-                                 unsigned shards = 0);
+                                 const ExecContext& exec = {});
 
 }  // namespace lps

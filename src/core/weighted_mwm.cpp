@@ -11,18 +11,22 @@
 
 namespace lps {
 
-MwmBlackBox class_mwm_black_box(ThreadPool* pool, unsigned shards) {
-  return [pool, shards](const WeightedGraph& wg, std::uint64_t seed,
-                        NetStats* stats) {
+namespace {
+
+/// The default black box: class_mwm (distributed, constant delta).
+MwmBlackBox class_mwm_black_box(const ExecContext& exec) {
+  return [exec](const WeightedGraph& wg, std::uint64_t seed,
+                NetStats* stats) {
     ClassMwmOptions opts;
     opts.seed = seed;
-    opts.pool = pool;
-    opts.shards = shards;
+    opts.exec = exec;
     ClassMwmResult res = class_mwm(wg, opts);
     if (stats != nullptr) stats->merge(res.stats);
     return std::move(res.matching);
   };
 }
+
+}  // namespace
 
 MwmBlackBox greedy_black_box() {
   return [](const WeightedGraph& wg, std::uint64_t, NetStats*) {
@@ -45,8 +49,7 @@ WeightedMwmResult weighted_mwm(const WeightedGraph& wg,
   }
   const Graph& g = wg.graph;
   const MwmBlackBox black_box =
-      opts.black_box ? opts.black_box
-                     : class_mwm_black_box(opts.pool, opts.shards);
+      opts.black_box ? opts.black_box : class_mwm_black_box(opts.exec);
   const std::uint64_t iterations =
       opts.max_iterations != 0
           ? opts.max_iterations
@@ -58,8 +61,7 @@ WeightedMwmResult weighted_mwm(const WeightedGraph& wg,
   for (std::uint64_t iter = 0; iter < iterations; ++iter) {
     // Line 3: G' = (V, E, w_M). One exchange round, accounted.
     const std::vector<double> gains =
-        gain_weights(wg, result.matching, &result.stats, opts.pool,
-                     opts.shards);
+        gain_weights(wg, result.matching, &result.stats, opts.exec);
 
     // Restrict to positive-gain edges: a maximum-weight matching never
     // gains from edges with w_M <= 0, and the class black box requires

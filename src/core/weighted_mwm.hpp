@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "graph/matching.hpp"
+#include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace lps {
 
@@ -25,10 +25,6 @@ namespace lps {
 /// graph; merges its round/bit accounting into *stats when non-null.
 using MwmBlackBox = std::function<Matching(
     const WeightedGraph& wg, std::uint64_t seed, NetStats* stats)>;
-
-/// The default black box: class_mwm (distributed, constant delta).
-MwmBlackBox class_mwm_black_box(ThreadPool* pool = nullptr,
-                                unsigned shards = 0);
 
 /// A sequential greedy black box (delta = 1/2, zero rounds): used by
 /// tests to validate the reduction independently of black-box quality.
@@ -38,12 +34,9 @@ struct WeightedMwmOptions {
   double eps = 0.1;
   double delta = 0.2;  // assumed black-box quality (paper: 1/5)
   std::uint64_t seed = 1;
-  MwmBlackBox black_box;              // empty = class_mwm_black_box()
+  MwmBlackBox black_box;              // empty = class_mwm (DESIGN.md §4)
   std::uint64_t max_iterations = 0;   // 0 = ceil(3/(2 delta) ln(2/eps))
-  ThreadPool* pool = nullptr;
-  /// Round-engine shard count (0 = auto, 1 = single shard); forwarded
-  /// to every SyncNetwork this solver runs. Bit-identical for any value.
-  unsigned shards = 0;
+  ExecContext exec;
 };
 
 struct WeightedMwmResult {

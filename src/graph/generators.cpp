@@ -67,6 +67,8 @@ namespace {
 /// jumps: after the current index, skip Geometric(p) positions.
 template <typename Emit>
 void sample_pairs(std::uint64_t total, double p, Rng& rng, Emit emit) {
+  // A NaN p would never reach the loop's exit.
+  if (std::isnan(p)) throw std::invalid_argument("random graph: p is NaN");
   if (p <= 0.0 || total == 0) return;
   if (p >= 1.0) {
     for (std::uint64_t i = 0; i < total; ++i) emit(i);

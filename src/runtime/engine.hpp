@@ -87,6 +87,7 @@
 
 #include "faults/injector.hpp"
 #include "graph/graph.hpp"
+#include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
 #include "runtime/shard.hpp"
 #include "runtime/thread_pool.hpp"
@@ -241,14 +242,17 @@ class SyncNetwork {
     PerWorker* worker_ = nullptr;
   };
 
-  SyncNetwork(const Graph& g, std::uint64_t seed, Meter meter = Meter{})
-      : graph_(&g), seed_(seed), meter_(std::move(meter)) {
+  /// `exec` fixes the network's thread pool and shard plan for its
+  /// lifetime; any context gives a bit-identical execution.
+  SyncNetwork(const Graph& g, std::uint64_t seed, Meter meter = Meter{},
+              const ExecContext& exec = {})
+      : graph_(&g), seed_(seed), meter_(std::move(meter)), pool_(exec.pool) {
     if constexpr (std::is_same_v<Meter, BitMeter>) {
       if (!meter_) meter_ = DefaultBitMeter<M>{};
     }
     const std::uint64_t t0 = setup_span_start();
     const NodeId n = g.num_nodes();
-    plan_ = plan_shards(n, /*requested=*/0);
+    plan_ = plan_shards(n, exec.shards);
     shard_active_.resize(plan_.count);
     arc_meta_.assign(2 * static_cast<std::size_t>(g.num_edges()),
                      ArcMeta{kNeverEpoch, 0});
@@ -314,20 +318,7 @@ class SyncNetwork {
     setup_span_end(t0, /*is_reset=*/true);
   }
 
-  /// Optional: step nodes with a thread pool (nullptr = sequential).
-  void set_thread_pool(ThreadPool* pool) noexcept { pool_ = pool; }
-
-  /// Repartition the vertex set: 0 = auto (cache-sized shards, the
-  /// default), 1 = the pre-shard single-partition layout, k = at most k
-  /// contiguous shards. Any value produces bit-identical executions;
-  /// callable between rounds.
-  void set_shards(unsigned requested) {
-    plan_ = plan_shards(graph_->num_nodes(), requested);
-    shard_active_.assign(plan_.count, {});
-  }
-
-  /// The number of vertex shards the mailbox and scheduler operate on.
-  unsigned shards() const noexcept { return plan_.count; }
+  /// The vertex shards the mailbox and scheduler operate on.
   const ShardPlan& shard_plan() const noexcept { return plan_; }
 
   /// Opt out of active-set scheduling: step every node every round, the
@@ -1013,7 +1004,7 @@ class SyncNetwork {
   const Graph* graph_;
   std::uint64_t seed_;
   Meter meter_;
-  ThreadPool* pool_ = nullptr;
+  ThreadPool* pool_;
   ShardPlan plan_;
 
   // Epoch-stamped directed channels (double-send detection) fused with

@@ -62,6 +62,15 @@ endif()
 # Malformed generator spec.
 expect_reject(--generator er:n=bogus --solver greedy_mcm)
 expect_reject(--generator nosuchfamily:n=8 --solver greedy_mcm)
+# Densities: p and deg must be finite and >= 0, and p at most 1 (a NaN
+# once sent the pair sampler into an endless loop).
+expect_reject(--generator er:n=100,deg=nan --solver greedy_mcm)
+expect_reject(--generator er:n=100,p=nan --solver greedy_mcm)
+expect_reject(--generator bipartite:nx=50,ny=50,p=nan --solver greedy_mcm)
+expect_reject(--generator er:n=100,deg=-4 --solver greedy_mcm)
+expect_reject(--generator er:n=100,deg=inf --solver greedy_mcm)
+expect_reject(--generator er:n=100,p=-0.1 --solver greedy_mcm)
+expect_reject(--generator er:n=100,p=1.5 --solver greedy_mcm)
 # Unknown solver.
 expect_reject(--generator path:n=8 --solver nosuchsolver)
 # Config key the solver does not understand.
@@ -130,3 +139,6 @@ expect_accept(--generator er:n=64,deg=3 --solver israeli_itai --oracle none
 expect_accept(--generator er:n=64,deg=4,w=uniform,wlo=1,whi=100
               --solver class_mwm --config class_base=1.0000001
               --oracle none --no-telemetry)
+# The default deg=4 is above n - 1 here: the complete graph, not an error.
+expect_accept(--generator er:n=3 --solver greedy_mcm --oracle none
+              --no-telemetry)

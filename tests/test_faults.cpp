@@ -148,8 +148,7 @@ TEST(EngineFaults, ScheduleBitIdenticalAcrossThreadsAndShards) {
       IsraeliItaiOptions opts;
       opts.seed = 99;
       opts.faults = kMessageChaos;
-      opts.pool = threads == 1 ? nullptr : &pool;
-      opts.shards = shards;
+      opts.exec = {.pool = threads == 1 ? nullptr : &pool, .shards = shards};
       const DistMatchingResult res = israeli_itai(g, opts);
       EXPECT_TRUE(is_valid_matching(g, res.matching.edge_ids(g)));
       if (first) {

@@ -4,10 +4,14 @@
 // the pool), and per-family shape sanity (edge counts, degrees, sides).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "api/runner.hpp"
+#include "graph/generators.hpp"
+#include "util/rng.hpp"
 
 namespace lps {
 namespace {
@@ -115,6 +119,8 @@ TEST(Generators, ShapeSanityPerFamily) {
   EXPECT_EQ(inst("grid:rows=5,cols=7").graph().num_edges(), 58u);
   EXPECT_EQ(inst("complete_bipartite:a=4,b=6").graph().num_edges(), 24u);
   EXPECT_EQ(inst("increasing_path:n=9").graph().num_edges(), 8u);
+  // The default deg=4 is above n - 1: the complete graph.
+  EXPECT_EQ(inst("er:n=3").graph().num_edges(), 3u);
 
   // Random tree: n-1 edges, single component.
   {
@@ -164,6 +170,15 @@ TEST(Generators, ShapeSanityPerFamily) {
       EXPECT_LE(x, 9.0);
     }
   }
+}
+
+TEST(Generators, NanDensityThrowsInsteadOfLooping) {
+  // Below the spec layer's range check: the pair sampler itself refuses
+  // a NaN probability rather than skipping forward forever.
+  Rng rng(5);
+  EXPECT_THROW(erdos_renyi(100, std::nan(""), rng), std::invalid_argument);
+  EXPECT_THROW(random_bipartite(50, 50, std::nan(""), rng),
+               std::invalid_argument);
 }
 
 }  // namespace

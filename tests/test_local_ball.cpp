@@ -13,6 +13,7 @@
 
 #include "core/local_ball.hpp"
 #include "graph/generators.hpp"
+#include "runtime/thread_pool.hpp"
 #include "seq/greedy.hpp"
 #include "util/rng.hpp"
 
@@ -144,8 +145,8 @@ TEST(CollectBalls, PoolAndSequentialAreBitIdentical) {
   const Matching m = greedy_mcm(g);
   ThreadPool pool(4);
   for (const int radius : {1, 3}) {
-    const BallViews seq = collect_balls(g, m, radius, nullptr);
-    const BallViews par = collect_balls(g, m, radius, &pool);
+    const BallViews seq = collect_balls(g, m, radius);
+    const BallViews par = collect_balls(g, m, radius, {.pool = &pool});
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       ASSERT_EQ(seq.view[v].size(), par.view[v].size()) << v;
       for (std::size_t i = 0; i < seq.view[v].size(); ++i) {

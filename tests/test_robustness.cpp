@@ -268,8 +268,7 @@ TEST(Robustness, ReorderedInboxesStayBitIdenticalAcrossThreads) {
   opts.faults = "reorder";
   const DistMatchingResult inline_run = israeli_itai(g, opts);
   ThreadPool pool(4);
-  opts.pool = &pool;
-  opts.shards = 4;
+  opts.exec = {.pool = &pool, .shards = 4};
   const DistMatchingResult pooled_run = israeli_itai(g, opts);
   EXPECT_EQ(inline_run.matching.edge_ids(g), pooled_run.matching.edge_ids(g));
   EXPECT_EQ(inline_run.stats.messages, pooled_run.stats.messages);

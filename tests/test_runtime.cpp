@@ -213,8 +213,7 @@ TEST(SyncNetwork, ParallelEqualsSequential) {
   Graph g = erdos_renyi(120, 0.05, rng);
   auto run_with = [&](ThreadPool* pool) {
     std::vector<std::uint64_t> state(g.num_nodes(), 0);
-    SyncNetwork<IntMsg> net(g, 5);
-    net.set_thread_pool(pool);
+    SyncNetwork<IntMsg> net(g, 5, {}, {.pool = pool});
     auto step = [&](SyncNetwork<IntMsg>::Ctx& ctx) {
       const NodeId v = ctx.id();
       for (const auto& in : ctx.inbox()) {
@@ -279,8 +278,7 @@ TEST(SyncNetwork, InboxIsInIncidenceOrder) {
   Graph g = erdos_renyi(40, 0.3, rng);
   ThreadPool pool(4);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    SyncNetwork<IntMsg> net(g, 1);
-    net.set_thread_pool(p);
+    SyncNetwork<IntMsg> net(g, 1, {}, {.pool = p});
     auto step = [&](SyncNetwork<IntMsg>::Ctx& ctx) {
       if (ctx.round() == 0) {
         ctx.send_all(IntMsg{static_cast<int>(ctx.id())});
@@ -431,30 +429,30 @@ TEST(IsraeliItaiRunner, ReuseMatchesFreshRuns) {
   // One runner, one network, many runs: each must equal a fresh
   // israeli_itai on the same options — across masks, seeds, an initial
   // matching, and a faulted run whose injector and held-back messages
-  // must not leak into the fault-free run after it, and shard requests
-  // that change from run to run (shards are at least 1024 vertices
-  // wide, so n = 3000 gives the network up to 3 of them).
+  // must not leak into the fault-free run after it. Runners are built
+  // on a pool under several shard plans (shards are at least 1024
+  // vertices wide, so n = 3000 gives a network up to 3 of them); the
+  // fresh runs are sequential on the auto plan.
   Rng rng(41);
   const Graph g = erdos_renyi(3000, 6.0 / 3000, rng);
   ThreadPool pool(4);
   std::vector<IsraeliItaiOptions> runs(6);
   runs[0].active_edges = sparse_mask(g, 1);
   runs[1].active_edges = sparse_mask(g, 2);
-  runs[1].shards = 4;
   runs[2].initial = partial_matching(g);
   runs[3].active_edges = sparse_mask(g, 3);
   runs[3].faults = "drop10";
   runs[4].active_edges = runs[3].active_edges;
-  runs[4].shards = 2;
   runs[5].active_edges = sparse_mask(g, 4);
   runs[5].initial = partial_matching(g);
-  IsraeliItaiRunner runner(g);
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    SCOPED_TRACE(i);
-    runs[i].seed = 100 + i;
-    runs[i].pool = &pool;
-    const DistMatchingResult reused = runner.run(runs[i]);
-    expect_same_run(g, reused, israeli_itai(g, runs[i]));
+  for (const unsigned shards : {0u, 4u, 2u}) {
+    IsraeliItaiRunner runner(g, {.pool = &pool, .shards = shards});
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "shards " << shards << " run " << i);
+      runs[i].seed = 100 + i;
+      const DistMatchingResult reused = runner.run(runs[i]);
+      expect_same_run(g, reused, israeli_itai(g, runs[i]));
+    }
   }
 }
 
@@ -465,8 +463,7 @@ TEST(SyncNetwork, PoolBitIdenticalToSequentialAt8Threads) {
   Graph g = erdos_renyi(500, 0.02, rng);
   auto run_with = [&](ThreadPool* pool) {
     std::vector<std::uint64_t> state(g.num_nodes(), 0);
-    SyncNetwork<IntMsg> net(g, 12);
-    net.set_thread_pool(pool);
+    SyncNetwork<IntMsg> net(g, 12, {}, {.pool = pool});
     auto step = [&](SyncNetwork<IntMsg>::Ctx& ctx) {
       const NodeId v = ctx.id();
       for (const auto& in : ctx.inbox()) {
@@ -515,8 +512,8 @@ TEST(SyncNetwork, SlotIsSenderRankInReceiverRow) {
   graphs.push_back(induced_subgraph(big, keep_node, keep_edge).graph);
 
   for (const Graph& g : graphs) {
-    SyncNetwork<IntMsg> net(g, 1);
-    net.set_shards(4096);  // the narrowest shards: 1024 nodes each
+    // The narrowest shards: 1024 nodes each.
+    SyncNetwork<IntMsg> net(g, 1, {}, {.shards = 4096});
     std::uint64_t checked = 0;
     auto step = [&](SyncNetwork<IntMsg>::Ctx& ctx) {
       if (ctx.round() == 0) {
@@ -594,13 +591,11 @@ TEST(SyncNetwork, ResetEqualsFreshNetwork) {
         net.restrict_initial_active();
         for (NodeId v = 0; v < g.num_nodes(); v += 7) net.activate(v);
       };
-      SyncNetwork<IntMsg> fresh(g, 77);
-      fresh.set_thread_pool(p);
+      SyncNetwork<IntMsg> fresh(g, 77, {}, {.pool = p});
       start(fresh);
       const auto want = run_client(fresh, 9);
 
-      SyncNetwork<IntMsg> reused(g, 5);
-      reused.set_thread_pool(p);
+      SyncNetwork<IntMsg> reused(g, 5, {}, {.pool = p});
       if (restricted) {
         reused.step_all_nodes();
       } else {

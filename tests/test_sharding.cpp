@@ -22,6 +22,7 @@
 #include "lca/oracle.hpp"
 #include "runtime/shard.hpp"
 #include "runtime/thread_pool.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
@@ -61,6 +62,32 @@ TEST(Sharding, ShardsAndThreadsComposeBitIdentically) {
                            std::to_string(shards) + " threads=4 vs 1/seq");
     }
   }
+}
+
+TEST(Sharding, ContextReachesEveryEngineClient) {
+  // Outputs are identical for any shard plan, so the identity tests
+  // above cannot see a solver that drops its context. The engine's
+  // per-shard phase-2 timer can: a solve on the requested plan records
+  // time on as many shard ids as the plan has (every case has at least
+  // 2048 vertices, so a request of 2 gives two 1024-wide shards).
+  telemetry::IndexedCounter& shard_ns =
+      telemetry::EngineMetrics::get().shard_exchange_ns;
+  const bool prev_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  for (const ShardCase& c : kCases) {
+    for (const unsigned shards : {1u, 2u}) {
+      shard_ns.reset();
+      solve_with(c, shards, nullptr);
+      std::size_t touched = 0;
+      for (const std::uint64_t ns : shard_ns.values()) touched += ns > 0;
+      if (shards == 1) {
+        EXPECT_EQ(touched, 1u) << c.solver << " shards=1";
+      } else {
+        EXPECT_GE(touched, 2u) << c.solver << " shards=2";
+      }
+    }
+  }
+  telemetry::set_enabled(prev_enabled);
 }
 
 // Solver outputs pinned across commits: a digest of the matching plus
