@@ -1,5 +1,5 @@
-// Shared helpers for the experiment benches: every bench prints
-// markdown tables (the rows EXPERIMENTS.md records) to stdout.
+// Shared helpers for the experiment benches: every bench prints its
+// results as markdown tables to stdout.
 #pragma once
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include <iostream>
 #include <string>
 
-#include "api/ledger.hpp"
 #include "graph/generators.hpp"
 #include "graph/matching.hpp"
 #include "graph/weights.hpp"
@@ -73,19 +72,6 @@ inline std::string fmt(double v, int precision) {
 /// matching is a 1/2-MWM, so w(M*) <= 2 * w(greedy).
 inline double mwm_upper_bound(const WeightedGraph& wg) {
   return 2.0 * greedy_mwm(wg).weight(wg);
-}
-
-/// Append one bench measurement to the run ledger (api/ledger.hpp).
-/// Best-effort by the ledger's own contract — a bench never fails
-/// because bench/ledger.jsonl is unwritable; LPS_LEDGER=off disables.
-inline void ledger_append(const std::string& config, const std::string& metric,
-                          double value, bool higher_is_better,
-                          unsigned threads = 1) {
-  const std::string path = api::resolve_ledger_path();
-  if (path.empty()) return;
-  api::append_ledger_line(path, api::bench_ledger_record(config, metric, value,
-                                                         higher_is_better,
-                                                         threads));
 }
 
 }  // namespace lps::bench

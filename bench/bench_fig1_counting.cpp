@@ -4,9 +4,9 @@
 // the numbers received from the previous level; this bench regenerates
 // exactly that annotation for the reconstructed instance (the published
 // figure's own node/edge list is not recoverable from the paper text;
-// see EXPERIMENTS.md), then cross-validates the algorithm's counts
-// against a brute-force path enumerator on random bipartite graphs and
-// checks the Lemma 3.6 bound n_v <= Delta^{ceil(d/2)}.
+// tests/helpers.hpp builds the stand-in), then cross-validates the
+// algorithm's counts against a brute-force path enumerator on random
+// bipartite graphs and checks the Lemma 3.6 bound n_v <= Delta^{ceil(d/2)}.
 #include <cmath>
 
 #include "bench/bench_common.hpp"

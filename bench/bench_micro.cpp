@@ -1,69 +1,42 @@
 // Experiment MICRO — google-benchmark microbenchmarks of the substrates
 // (engineering numbers, not paper claims): exact solvers, the
-// synchronous engine's per-round overhead, BigCounter arithmetic, and
-// the generators.
+// distributed protocols, BigCounter arithmetic, and the generators.
 //
-// Extra modes (custom main):
-//   --engine-json[=PATH]  run the engine round-throughput sweep (4 sizes
-//                         x 2 densities + one n=2^24 run, fixed seeds)
-//                         and write PATH (default BENCH_engine.json, for
-//                         committing to the repo root so future PRs can
-//                         diff). Also measures tracing overhead at
-//                         n=2^20 deg 4 into a "telemetry_overhead"
-//                         block. Top-level keys containing "baseline" in
-//                         an existing PATH are preserved verbatim.
-//   --shards=K            force K engine shards for the sweep modes
-//                         (0 = auto-size to the detected L2; default).
-//   --shard-sweep         n=2^20 avg_deg=4, shard counts 1..128 and
-//                         auto: the locality curve behind DESIGN.md §11.
-//   --perf-gate[=PATH]    re-run the small/mid sweep rows and compare
-//                         rounds/sec against the checked-in PATH
-//                         (default BENCH_engine.json); exit 1 on a >20%
-//                         regression, printing each regressed row's
-//                         per-phase telemetry breakdown. Set
-//                         LPS_BENCH_GATE_SKIP=1 to record-but-ignore
-//                         (documented override for noisy CI hosts).
-//   --smoke               tiny sweep + engine sanity asserts, exit 0/1;
-//                         the CI bench smoke job runs this in Release.
-//   --trace=PATH          record a Chrome/Perfetto trace of whichever
-//                         sweep mode runs and write it to PATH.
-//   --trace-overhead[=E]  tracing-overhead gate: best-of-3 rounds/sec at
-//                         n=2^E (default 20) deg 4, untraced vs fully
-//                         traced; exit 1 when the traced run is >5%
-//                         slower (LPS_BENCH_GATE_SKIP honored).
-//   --obs-overhead[=E]    observability-overhead gate: same harness, but
-//                         the instrumented side runs with the structured
-//                         EventLog recording and a silent Monitor
-//                         sampling progress; exit 1 when >5% slower
-//                         (LPS_BENCH_GATE_SKIP honored).
-//
-// Every sweep row (including --smoke) also appends two "bench" records
-// to the run ledger (bench/ledger.jsonl; LPS_LEDGER overrides/disables)
-// — rounds_per_sec and ns_per_msg, the schema-v3 metric pair — so
-// tools/perf_diff can trend both across invocations.
-//
-// The sweep/gate implementations live in bench/engine_sweep.cpp: the
-// engine hot loops measured there need a small TU for clean codegen
-// (see engine_sweep.hpp), so this TU holds only the BM_* suite and the
-// CLI dispatch.
+// Two extra modes (custom main) gate the instrumentation budgets on the
+// same host, with no recorded baseline:
+//   --trace-overhead[=E]  metrics + span recording on (tracer reset per
+//                         solve) must cost <= 5% solve wall time.
+//   --obs-overhead[=E]    structured EventLog recording plus a silent
+//                         Monitor sampling the progress board must cost
+//                         <= 5% solve wall time.
+// Both time 31 interleaved pairs of israeli_itai solves on
+// er:n=2^E,deg=4 (default E=20), bare versus instrumented, and exit 1
+// when the median per-pair wall ratio exceeds 1.05 (see
+// run_overhead_gate).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "bench/engine_sweep.hpp"
+#include "api/runner.hpp"
 #include "core/bipartite_counting.hpp"
 #include "core/israeli_itai.hpp"
 #include "core/luby_mis.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
-#include "telemetry/telemetry.hpp"
 #include "seq/blossom.hpp"
 #include "seq/greedy.hpp"
 #include "seq/hopcroft_karp.hpp"
 #include "seq/hungarian.hpp"
+#include "telemetry/event_log.hpp"
+#include "telemetry/monitor.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/bigint.hpp"
 #include "util/rng.hpp"
 
@@ -126,22 +99,6 @@ void BM_Hungarian(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Hungarian)->Arg(32)->Arg(128);
-
-void BM_EngineRound(benchmark::State& state) {
-  // Per-round overhead of the synchronous engine with light traffic
-  // (the engine_sweep.hpp workload). Rounds run through the non-inline
-  // bench_detail::engine_round so the measured instantiation is the
-  // same one the sweep modes time.
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  Rng rng(15);
-  const Graph g = erdos_renyi(n, 4.0 / n, rng);
-  EngineNet net(g, 1, {});
-  for (auto _ : state) {
-    bench_detail::engine_round(net);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EngineRound)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_IsraeliItai(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));
@@ -211,107 +168,132 @@ void BM_BigCounterSampleBelow(benchmark::State& state) {
 }
 BENCHMARK(BM_BigCounterSampleBelow)->Arg(4)->Arg(64);
 
+// The paired overhead gate behind both custom modes. er:n=2^E,deg=4 is
+// built once; each of kPairs pairs runs one bare and one instrumented
+// israeli_itai solve with seed = pair index, alternating which side
+// goes first. The verdict reads the median per-pair wall ratio,
+// instrumented over bare: pairing cancels the host drift that made
+// best-of-N comparisons swing by tens of percent. `instrumented(solve)`
+// switches its instrumentation on around one solve() and returns the
+// solve's seconds plus the events it recorded; a side that records
+// nothing would pass vacuously, so that fails too.
+template <class Instrumented>
+int run_overhead_gate(const char* what, unsigned nexp,
+                      Instrumented instrumented) {
+  constexpr int kPairs = 31;
+  constexpr double kBudget = 1.05;
+  if (nexp < 4 || nexp > 24) {
+    std::fprintf(stderr, "bench_micro: %s exponent must be in 4..24, got %u\n",
+                 what, nexp);
+    return 2;
+  }
+  const api::Instance inst = api::make_instance(
+      "er:n=" + std::to_string(1u << nexp) + ",deg=4", /*seed=*/1);
+  const Graph& g = inst.graph();
+  std::uint64_t seed = 0;
+  const auto solve = [&] {
+    IsraeliItaiOptions opts;
+    opts.seed = seed;
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(israeli_itai(g, opts));
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  std::vector<double> ratios, bare_s, instr_s;
+  std::size_t min_events = static_cast<std::size_t>(-1);
+  for (int i = 0; i < kPairs; ++i) {
+    seed = static_cast<std::uint64_t>(i);
+    double bare = 0.0;
+    std::pair<double, std::size_t> instr;
+    if (i % 2 == 0) {
+      bare = solve();
+      instr = instrumented(solve);
+    } else {
+      instr = instrumented(solve);
+      bare = solve();
+    }
+    ratios.push_back(instr.first / bare);
+    bare_s.push_back(bare);
+    instr_s.push_back(instr.first);
+    min_events = std::min(min_events, instr.second);
+  }
+  const auto median = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double ratio = median(ratios);
+  std::printf(
+      "%s overhead: er:n=%u,deg=4 m=%u, %d pairs: median solve %.2f ms bare, "
+      "%.2f ms instrumented; per-pair ratio median %.4f (IQR %.4f-%.4f, "
+      "budget %.2f), >= %zu events per instrumented solve\n",
+      what, g.num_nodes(), g.num_edges(), kPairs, 1e3 * median(bare_s),
+      1e3 * median(instr_s), ratio, ratios[kPairs / 4],
+      ratios[3 * kPairs / 4], kBudget, min_events);
+  if (min_events == 0) {
+    std::fprintf(stderr, "%s overhead: instrumented solve recorded nothing\n",
+                 what);
+    return 1;
+  }
+  if (ratio > kBudget) {
+    std::fprintf(stderr,
+                 "%s overhead: instrumented solves %.1f%% slower than bare "
+                 "(budget %.0f%%)\n",
+                 what, 100.0 * (ratio - 1.0), 100.0 * (kBudget - 1.0));
+    return 1;
+  }
+  return 0;
+}
+
+int run_trace_overhead(unsigned nexp) {
+  telemetry::Tracer& tracer = telemetry::Tracer::global();
+  return run_overhead_gate("trace", nexp, [&](const auto& solve) {
+    tracer.reset();  // fresh event budget per solve: no drop skew
+    telemetry::set_enabled(true);
+    tracer.set_recording(true);
+    const double s = solve();
+    tracer.set_recording(false);
+    telemetry::set_enabled(false);
+    return std::pair{s, tracer.events()};
+  });
+}
+
+int run_obs_overhead(unsigned nexp) {
+  telemetry::EventLog& elog = telemetry::EventLog::global();
+  return run_overhead_gate("obs", nexp, [&](const auto& solve) {
+    elog.reset();
+    elog.set_recording(true);
+    telemetry::MonitorOptions mo;
+    mo.interval_ms = 10;  // the Monitor's floor: samples during each solve
+    mo.out = nullptr;     // silent: sample the board, print nothing
+    telemetry::Monitor monitor(mo);
+    const double s = solve();
+    monitor.stop();
+    elog.set_recording(false);
+    return std::pair{s, elog.events()};
+  });
+}
+
 }  // namespace
 }  // namespace lps
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string engine_json;
-  bool engine_sweep = false;
-  bool shard_sweep = false;
-  bool perf_gate = false;
-  std::string gate_path = "BENCH_engine.json";
-  unsigned shards = 0;
-  std::string trace_path;
-  bool trace_overhead = false;
-  unsigned trace_overhead_exp = 20;
-  bool obs_overhead = false;
-  unsigned obs_overhead_exp = 20;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--engine-json") == 0) {
-      engine_sweep = true;
-      engine_json = "BENCH_engine.json";
-    } else if (std::strncmp(argv[i], "--engine-json=", 14) == 0) {
-      engine_sweep = true;
-      engine_json = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = static_cast<unsigned>(std::strtoul(argv[i] + 9, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--shard-sweep") == 0) {
-      shard_sweep = true;
-    } else if (std::strcmp(argv[i], "--perf-gate") == 0) {
-      perf_gate = true;
-    } else if (std::strncmp(argv[i], "--perf-gate=", 12) == 0) {
-      perf_gate = true;
-      gate_path = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    } else if (std::strcmp(argv[i], "--trace-overhead") == 0) {
-      trace_overhead = true;
-    } else if (std::strncmp(argv[i], "--trace-overhead=", 17) == 0) {
-      trace_overhead = true;
-      trace_overhead_exp =
-          static_cast<unsigned>(std::strtoul(argv[i] + 17, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--obs-overhead") == 0) {
-      obs_overhead = true;
-    } else if (std::strncmp(argv[i], "--obs-overhead=", 15) == 0) {
-      obs_overhead = true;
-      obs_overhead_exp =
-          static_cast<unsigned>(std::strtoul(argv[i] + 15, nullptr, 10));
+    for (const auto& [flag, gate] :
+         {std::pair{"--trace-overhead", &lps::run_trace_overhead},
+          std::pair{"--obs-overhead", &lps::run_obs_overhead}}) {
+      const std::size_t len = std::strlen(flag);
+      if (std::strncmp(argv[i], flag, len) != 0) continue;
+      if (argv[i][len] == '\0') return gate(20);
+      if (argv[i][len] == '=') {
+        return gate(static_cast<unsigned>(
+            std::strtoul(argv[i] + len + 1, nullptr, 10)));
+      }
     }
   }
-  if (trace_overhead) {
-    // Manages its own tracer state; --trace would skew the measurement.
-    return lps::run_trace_overhead(trace_overhead_exp);
-  }
-  if (obs_overhead) {
-    // Likewise self-managed: the bare half must run uninstrumented.
-    return lps::run_obs_overhead(obs_overhead_exp);
-  }
-  const bool custom = smoke || perf_gate || shard_sweep || engine_sweep;
-  const bool tracing = !trace_path.empty();
-  if (tracing && !custom) {
-    std::fprintf(stderr,
-                 "bench_micro: --trace needs a sweep mode (--smoke, "
-                 "--engine-json, --shard-sweep or --perf-gate)\n");
-    return 2;
-  }
-  lps::telemetry::Tracer& tracer = lps::telemetry::Tracer::global();
-  if (tracing) {
-    lps::telemetry::set_enabled(true);
-    tracer.reset();
-    tracer.set_recording(true);
-  }
-  int rc = 0;
-  if (smoke) {
-    rc = lps::run_smoke_checks();
-    if (rc == 0) rc = lps::run_engine_sweep("", /*smoke=*/true, shards);
-    if (rc == 0) std::printf("bench_micro --smoke: OK\n");
-  } else if (perf_gate) {
-    rc = lps::run_perf_gate(gate_path);
-  } else if (shard_sweep) {
-    rc = lps::run_shard_sweep();
-  } else if (engine_sweep) {
-    rc = lps::run_engine_sweep(engine_json, /*smoke=*/false, shards);
-  } else {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-  }
-  if (tracing) {
-    tracer.set_recording(false);
-    lps::telemetry::set_enabled(false);
-    if (tracer.write_chrome_trace(trace_path)) {
-      std::printf("trace written to %s (%zu events)\n", trace_path.c_str(),
-                  tracer.events());
-    } else {
-      std::fprintf(stderr, "bench_micro: cannot write trace to %s\n",
-                   trace_path.c_str());
-      if (rc == 0) rc = 1;
-    }
-  }
-  return rc;
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
 }

@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include "api/json.hpp"
-#include "api/provenance.hpp"
 #include "api/runner.hpp"
 
 namespace lps::api {
@@ -87,23 +86,6 @@ bool append_run_ledger(const RunResult& result, const std::string& path) {
     o.add("dynamic_updates_per_sec", result.dynamic_updates_per_sec);
   }
   return append_ledger_line(path, o.str());
-}
-
-std::string bench_ledger_record(const std::string& config_key,
-                                const std::string& metric, double value,
-                                bool higher_is_better, unsigned threads) {
-  const Provenance prov = current_provenance(threads);
-  JsonObject o;
-  o.add("kind", "bench")
-      .add("config", config_key)
-      .add("metric", metric)
-      .add("value", value)
-      .add("higher_is_better", higher_is_better)
-      .add("git_sha", prov.git_sha)
-      .add("build_type", prov.build_type)
-      .add("threads", static_cast<std::uint64_t>(prov.threads))
-      .add("timestamp_utc", prov.timestamp_utc);
-  return o.str();
 }
 
 }  // namespace lps::api

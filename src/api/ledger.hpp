@@ -1,20 +1,19 @@
-// The append-only run ledger (DESIGN.md §14): every api::run_one and
-// every bench_micro sweep row appends one JSONL record to
-// bench/ledger.jsonl, giving the repo cross-run memory — perf history
-// stops living only in the hand-curated BENCH_*.json baselines.
+// The append-only run ledger (DESIGN.md §14): every api::run_one
+// appends one JSONL record to bench/ledger.jsonl, giving the repo
+// cross-run memory that tools/perf_diff trends.
 //
 // Record schema (one JSON object per line):
 //
-//   kind             "run" | "bench"
-//   config           the grouping key tools/perf_diff compares within;
-//                    bench rows use "engine:n=<n>,deg=<deg>" so they
-//                    join against BENCH_engine.json rows directly
-//   metric           headline metric name ("wall_ms", "rounds_per_sec")
+//   kind             "run" for every record written now; perf_diff
+//                    still reads the "bench" rows older ledgers carry
+//   config           the grouping key tools/perf_diff compares within
+//                    (solver|generator|config|...|t<threads>)
+//   metric           headline metric name ("wall_ms")
 //   value            the measurement
 //   higher_is_better direction, so perf_diff needs no metric table
 //   git_sha / build_type / threads / timestamp_utc   provenance
-//   ...              kind-specific context (spec echo, shape, telemetry
-//                    percentiles for runs; shard count etc. for bench)
+//   ...              run context (spec echo, shape, telemetry
+//                    percentiles)
 //
 // Appends are best-effort by design: a read-only checkout or a full
 // disk must never fail the run the ledger is merely describing.
@@ -44,11 +43,5 @@ bool append_ledger_line(const std::string& path, const std::string& json_line);
 
 /// Render + append the "run" record for a finished run_one result.
 bool append_run_ledger(const RunResult& result, const std::string& path);
-
-/// Render a "bench" record (the caller appends it via
-/// append_ledger_line; bench_common.hpp wraps the pair).
-std::string bench_ledger_record(const std::string& config_key,
-                                const std::string& metric, double value,
-                                bool higher_is_better, unsigned threads);
 
 }  // namespace lps::api

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -89,10 +90,28 @@ Instance make_instance(const std::string& spec, std::uint64_t seed) {
     return static_cast<NodeId>(v);
   };
 
+  // Sizes are checked in double arithmetic before anything is
+  // allocated: a node total or expected edge count past the 32-bit id
+  // range would wrap (grid's rows*cols, a+b) or allocate for minutes.
+  // path, cycle, star, the trees and increasing_path stay within range
+  // whenever their one node_arg does.
+  const auto check_size = [&](double nodes, double edges) {
+    if (nodes > static_cast<double>(kInvalidNode) - 1 ||
+        edges > static_cast<double>(kInvalidEdge) - 1) {
+      char buf[128];
+      std::snprintf(buf, sizeof(buf),
+                    "%.0f nodes, %.0f expected edges: past the 32-bit ids",
+                    nodes, edges);
+      throw std::invalid_argument("generator '" + family + "': " + buf);
+    }
+  };
+
   if (family == "path") return finish(args, path_graph(node_arg("n")), rng);
   if (family == "cycle") return finish(args, cycle_graph(node_arg("n")), rng);
   if (family == "complete") {
-    return finish(args, complete_graph(node_arg("n")), rng);
+    const NodeId n = node_arg("n");
+    check_size(n, 0.5 * n * (n - 1.0));
+    return finish(args, complete_graph(n), rng);
   }
   if (family == "star") return finish(args, star_graph(node_arg("n")), rng);
   if (family == "binary_tree") {
@@ -104,6 +123,8 @@ Instance make_instance(const std::string& spec, std::uint64_t seed) {
   if (family == "grid") {
     const NodeId rows = node_arg("rows");
     const NodeId cols = node_arg("cols");
+    const double cells = static_cast<double>(rows) * cols;
+    check_size(cells, 2.0 * cells - rows - cols);
     // The parity 2-coloring is known by construction; attaching it
     // spares every bipartite-only solver the BFS.
     std::vector<std::uint8_t> side(static_cast<std::size_t>(rows) * cols);
@@ -117,6 +138,7 @@ Instance make_instance(const std::string& spec, std::uint64_t seed) {
   if (family == "complete_bipartite") {
     const NodeId a = node_arg("a");
     const NodeId b = node_arg("b");
+    check_size(static_cast<double>(a) + b, static_cast<double>(a) * b);
     std::vector<std::uint8_t> side(a + b, 0);
     std::fill(side.begin() + a, side.end(), std::uint8_t{1});
     return finish(args, complete_bipartite(a, b), rng, std::move(side));
@@ -141,12 +163,14 @@ Instance make_instance(const std::string& spec, std::uint64_t seed) {
   if (family == "er") {
     const NodeId n = node_arg("n");
     const double p = density_arg(n);
+    check_size(n, std::min(p, 1.0) * 0.5 * n * (n - 1.0));
     return finish(args, erdos_renyi(n, p, rng), rng);
   }
   if (family == "bipartite") {
     const NodeId nx = node_arg("nx");
     const NodeId ny = node_arg("ny");
     const double p = density_arg(ny);
+    check_size(static_cast<double>(nx) + ny, std::min(p, 1.0) * nx * ny);
     BipartiteGraph bg = random_bipartite(nx, ny, p, rng);
     return finish(args, std::move(bg.graph), rng, std::move(bg.side));
   }
@@ -154,22 +178,28 @@ Instance make_instance(const std::string& spec, std::uint64_t seed) {
     const NodeId nx = node_arg("nx");
     const NodeId ny = node_arg("ny");
     const NodeId d = node_arg("d");
+    check_size(static_cast<double>(nx) + ny, static_cast<double>(nx) * d);
     BipartiteGraph bg = random_bipartite_regular_left(nx, ny, d, rng);
     return finish(args, std::move(bg.graph), rng, std::move(bg.side));
   }
   if (family == "regular") {
     const NodeId n = node_arg("n");
     const NodeId d = node_arg("d");
+    check_size(n, 0.5 * n * d);
     return finish(args, random_regular(n, d, rng), rng);
   }
   if (family == "tight_chain") {
-    TightChain tc = tight_bipartite_chain(
-        static_cast<int>(args.require_int("k")), node_arg("copies"));
+    const std::int64_t k = args.require_int("k");
+    const NodeId copies = node_arg("copies");
+    check_size((2.0 * k + 2) * copies, (2.0 * k + 1) * copies);
+    TightChain tc = tight_bipartite_chain(static_cast<int>(k), copies);
     return finish(args, std::move(tc.graph), rng, std::move(tc.side));
   }
   if (family == "greedy_trap") {
-    WeightedGraph wg = greedy_trap_path(node_arg("gadgets"),
-                                        args.get_double("eps", 0.001));
+    const NodeId gadgets = node_arg("gadgets");
+    check_size(4.0 * gadgets, 3.0 * gadgets);
+    WeightedGraph wg =
+        greedy_trap_path(gadgets, args.get_double("eps", 0.001));
     args.check_all_used();
     return Instance::weighted(std::move(wg));
   }

@@ -32,6 +32,9 @@ namespace lps::api {
 
 /// Build an Instance from a generator spec; `seed` drives all
 /// randomness (graph and weights). Bipartite families attach the side.
+/// Throws std::invalid_argument on a malformed spec, including one
+/// whose node total or expected edge count exceeds the 32-bit ids;
+/// that check runs before anything is allocated.
 Instance make_instance(const std::string& spec, std::uint64_t seed);
 
 struct RunSpec {

@@ -221,7 +221,8 @@ TightChain tight_bipartite_chain(int k, NodeId copies) {
   // order; matched edges are the even-indexed ones within the copy
   // (0-indexed positions 1, 3, ..., 2k-1), i.e. every second edge
   // starting from the second — endpoints stay free.
-  const NodeId stride = static_cast<NodeId>(2 * k + 2);
+  // Unsigned arithmetic: 2k + 2 in int would overflow for k near INT_MAX.
+  const NodeId stride = 2 * static_cast<NodeId>(k) + 2;
   std::vector<Edge> edges;
   std::vector<EdgeId> matched;
   for (NodeId c = 0; c < copies; ++c) {

@@ -16,9 +16,12 @@ GraphStore GraphStore::build(NodeId n, std::vector<Edge> edges,
       throw std::invalid_argument("GraphStore: weights must be positive");
     }
   }
+  const std::size_t m = edges.size();
+  if (n == kInvalidNode || m >= kInvalidEdge) {
+    throw std::invalid_argument("Graph: size exceeds the 32-bit id range");
+  }
   GraphStore s;
   s.n = n;
-  const std::size_t m = edges.size();
   s.edge_u.resize(m);
   s.edge_v.resize(m);
   s.edge_weight = std::move(weights);

@@ -1,5 +1,7 @@
 // Shared fixtures for the test suite, including the paper's two worked
-// figures (reconstructed; see EXPERIMENTS.md for the OCR caveat).
+// figures. Both are reconstructions: the paper text does not carry the
+// figures' node and edge lists, so the instances are built to show the
+// same behaviour and their expected values are computed by hand.
 #pragma once
 
 #include <cstdint>

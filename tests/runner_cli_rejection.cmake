@@ -13,10 +13,13 @@ if(NOT RUNNER)
 endif()
 
 # Runs the runner with ${ARGN}, expecting exit 2 and a one-line
-# `runner: invalid spec:` diagnostic on stderr.
+# `runner: invalid spec:` diagnostic on stderr within reject_timeout
+# seconds (a run past it is killed and reported as not exiting 2).
+set(reject_timeout 60)
 function(expect_reject)
   execute_process(
     COMMAND "${RUNNER}" ${ARGN}
+    TIMEOUT ${reject_timeout}
     RESULT_VARIABLE code
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
@@ -71,6 +74,17 @@ expect_reject(--generator er:n=100,deg=-4 --solver greedy_mcm)
 expect_reject(--generator er:n=100,deg=inf --solver greedy_mcm)
 expect_reject(--generator er:n=100,p=-0.1 --solver greedy_mcm)
 expect_reject(--generator er:n=100,p=1.5 --solver greedy_mcm)
+# Sizes past the 32-bit node and edge ids are rejected before anything
+# is allocated, so each exits within a second: 6e9 expected edges, a
+# rows*cols that wraps, and node totals a+b / nx+ny that wrap.
+set(reject_timeout 1)
+expect_reject(--generator er:n=3000000000,deg=4 --solver greedy_mcm)
+expect_reject(--generator grid:rows=65536,cols=65537 --solver greedy_mcm)
+expect_reject(--generator complete_bipartite:a=3000000000,b=3000000000
+              --solver greedy_mcm)
+expect_reject(--generator bipartite:nx=3000000000,ny=3000000000,deg=1
+              --solver greedy_mcm)
+set(reject_timeout 60)
 # Unknown solver.
 expect_reject(--generator path:n=8 --solver nosuchsolver)
 # Config key the solver does not understand.

@@ -1,24 +1,20 @@
 // perf_diff: regression analytics over the run ledger
-// (bench/ledger.jsonl — see src/api/ledger.hpp for the record schema)
-// plus the checked-in BENCH_*.json baselines.
+// (bench/ledger.jsonl — see src/api/ledger.hpp for the record schema).
 //
 //   perf_diff                               # report on the default ledger
 //   perf_diff --ledger L.jsonl --last 8     # trend window of 8 runs
-//   perf_diff --check --baseline BENCH_engine.json
+//   perf_diff --check --ledger L.jsonl      # verdict lines only
 //
 // Per (config, metric) group the tool reports the latest value, the
 // median of the prior K runs, the delta between them, and a coarse
-// trend direction; bench rows keyed "engine:n=<n>,deg=<deg>" are
-// additionally compared against the matching BENCH_engine.json row —
-// per metric, so the rounds/sec and ns/msg series each pin to their
-// own baseline column (schema v3 emits both per sweep row).
-// A group regresses when the latest value is worse than the prior
-// median (or the baseline) by more than --threshold percent, in the
-// direction each record's own higher_is_better declares.
+// trend direction. A group regresses when the latest value is worse
+// than the prior median by more than --threshold percent, in the
+// direction each record's own higher_is_better declares. Every
+// comparison is within one ledger, so against runs on the same host.
 //
-// Exit codes (pinned; usable as a CI gate next to bench_micro
-// --perf-gate): 0 = no regression, 1 = regression verdict (offending
-// configs named on stderr), 2 = usage / IO / parse error.
+// Exit codes (pinned; usable as a CI gate): 0 = no regression, 1 =
+// regression verdict (offending configs named on stderr), 2 = usage /
+// IO / parse error.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -116,54 +112,11 @@ bool load_ledger(const std::string& path,
   return true;
 }
 
-/// BENCH_engine.json rows keyed exactly as the ledger groups are:
-/// "engine:n=<n>,deg=<deg> :: <metric>". One baseline row fans out to
-/// one entry per metric column it carries, so a ns/msg ledger series
-/// never gets compared against a rounds/sec pin (or vice versa).
-bool load_baseline(const std::string& path,
-                   std::map<std::string, double>& rows, std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open '" + path + "'";
-    return false;
-  }
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  JsonValue doc;
-  std::string perr;
-  if (!lps::telemetry::parse_json(text, doc, &perr)) {
-    *error = path + ": " + perr;
-    return false;
-  }
-  const JsonValue* results = doc.find("results");
-  if (results == nullptr || !results->is_array()) {
-    *error = path + ": no top-level results array";
-    return false;
-  }
-  for (const JsonValue& row : results->array) {
-    const JsonValue* n = row.find("n");
-    const JsonValue* deg = row.find("avg_deg");
-    if (n == nullptr || deg == nullptr) continue;
-    const std::string config =
-        "engine:n=" +
-        std::to_string(static_cast<unsigned long long>(n->number)) +
-        ",deg=" +
-        std::to_string(static_cast<unsigned long long>(deg->number));
-    const JsonValue* rps = row.find("rounds_per_sec");
-    if (rps != nullptr) rows[config + " :: rounds_per_sec"] = rps->number;
-    const JsonValue* ns = row.find("ns_per_delivered_message");
-    if (ns != nullptr) rows[config + " :: ns_per_msg"] = ns->number;
-  }
-  return true;
-}
-
 void usage() {
   std::printf(
       "usage: perf_diff [options]\n"
       "  --ledger PATH     ledger to analyze (default bench/ledger.jsonl,\n"
       "                    or LPS_LEDGER)\n"
-      "  --baseline PATH   BENCH_engine.json-style baseline to compare\n"
-      "                    engine bench rows against\n"
       "  --last K          trend/median window (default 8)\n"
       "  --threshold PCT   regression threshold in percent (default 20)\n"
       "  --check           terse output: verdict lines only\n"
@@ -174,7 +127,6 @@ void usage() {
 
 int main(int argc, char** argv) {
   std::string ledger_path;
-  std::string baseline_path;
   std::size_t last_k = 8;
   double threshold_pct = 20.0;
   bool check_only = false;
@@ -189,8 +141,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--ledger") {
       ledger_path = next("--ledger");
-    } else if (arg == "--baseline") {
-      baseline_path = next("--baseline");
     } else if (arg == "--last") {
       last_k = static_cast<std::size_t>(std::strtoul(next("--last"), nullptr,
                                                      10));
@@ -223,12 +173,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "perf_diff: %s\n", error.c_str());
     return 2;
   }
-  std::map<std::string, double> baseline;
-  if (!baseline_path.empty() &&
-      !load_baseline(baseline_path, baseline, &error)) {
-    std::fprintf(stderr, "perf_diff: %s\n", error.c_str());
-    return 2;
-  }
   if (groups.empty()) {
     std::printf("perf_diff: %s: empty ledger, nothing to compare\n",
                 ledger_path.c_str());
@@ -256,39 +200,14 @@ int main(int argc, char** argv) {
     std::vector<double> window = prior;
     window.push_back(latest.value);
 
-    double ref = 0.0;
-    bool have_ref = false;
-    if (!prior.empty()) {
-      ref = median(prior);
-      have_ref = true;
-    }
-    double worse = have_ref
-                       ? worse_frac(latest.value, ref, latest.higher_is_better)
-                       : 0.0;
-    bool regressed = have_ref && worse > threshold;
-    // Baseline comparison rides on top of the history comparison: a
-    // slow drift that never trips the window still trips the pin. The
-    // lookup key is the group key (config :: metric), so each metric
-    // series pins to its own baseline column.
-    const auto base_it = baseline.find(key);
-    if (base_it != baseline.end()) {
-      const double bworse =
-          worse_frac(latest.value, base_it->second, latest.higher_is_better);
-      if (bworse > threshold) {
-        regressed = true;
-        worse = std::max(worse, bworse);
-        have_ref = true;
-        if (!check_only) {
-          std::printf("  baseline %s: %.1f vs %.1f (%.1f%% worse)\n",
-                      latest.config.c_str(), latest.value, base_it->second,
-                      bworse * 100.0);
-        }
-      }
-    }
+    // A config's first record has no history: it is its own reference.
+    const double ref = prior.empty() ? latest.value : median(prior);
+    const double worse =
+        worse_frac(latest.value, ref, latest.higher_is_better);
+    const bool regressed = !prior.empty() && worse > threshold;
     if (!check_only) {
       std::printf("%-56s %12.3f %12.3f %7.1f%% %-10s%s\n", key.c_str(),
-                  latest.value, have_ref ? ref : latest.value,
-                  have_ref ? worse * 100.0 : 0.0,
+                  latest.value, ref, worse * 100.0,
                   trend_of(window, latest.higher_is_better),
                   regressed ? "  << REGRESSION" : "");
     }
