@@ -138,8 +138,8 @@ struct TelemetrySummary {
   double round_ns_p90 = 0.0;
   double round_ns_p99 = 0.0;
   std::uint64_t round_ns_max = 0;
-  // Per-phase means per round (boundary exchange 1/2, inbox sort, step
-  // loop).
+  // Per-phase means per round (exchange phase 1 = shard offsets, phase
+  // 2 = per-shard receiver sort, inbox sort, step loop).
   double exchange_p1_ns_mean = 0.0;
   double exchange_p2_ns_mean = 0.0;
   double inbox_sort_ns_mean = 0.0;

@@ -148,8 +148,7 @@ LocalMwmResult local_mwm(const WeightedGraph& wg,
       opts.max_phases != 0 ? opts.max_phases
                            : static_cast<std::uint64_t>(g.num_nodes()) + 16;
 
-  std::uint64_t id_bits = 1;
-  while ((std::uint64_t{1} << id_bits) < g.num_nodes() + 1) ++id_bits;
+  const std::uint64_t id_bits = node_id_bits(g.num_nodes());
 
   for (std::uint64_t phase = 0; phase < max_phases; ++phase) {
     ++result.phases;
@@ -207,11 +206,8 @@ LocalMwmResult local_mwm(const WeightedGraph& wg,
     // views) and flip along at most L hops.
     NetStats apply;
     apply.rounds = static_cast<std::uint64_t>(walk_cap);
-    for (std::size_t i = 0; i < applied; ++i) {
-      for (int h = 0; h < walk_cap; ++h) {
-        apply.note_message(id_bits);
-      }
-    }
+    apply.note_messages(applied * static_cast<std::uint64_t>(walk_cap),
+                        id_bits);
     result.stats.merge(apply);
   }
   return result;

@@ -74,8 +74,7 @@ AugResult bipartite_aug(const Graph& g, const std::vector<std::uint8_t>& side,
   if (max_len < 1 || max_len % 2 == 0) {
     throw std::invalid_argument("bipartite_aug: max_len must be odd");
   }
-  std::uint64_t id_bits = 1;
-  while ((std::uint64_t{1} << id_bits) < n + 1) ++id_bits;
+  const std::uint64_t id_bits = node_id_bits(n);
 
   // Iteration budget: O(log N) w.h.p. where N <= n * Delta^{(l+1)/2}
   // (the paper's conflict-graph size bound), plus slack.

@@ -99,8 +99,7 @@ ClassMwmResult class_mwm(const WeightedGraph& wg,
   std::vector<EdgeId> survivors;
   NetStats sweep;
   sweep.rounds = num_classes;
-  std::uint64_t id_bits = 1;
-  while ((std::uint64_t{1} << id_bits) < g.num_nodes() + 1) ++id_bits;
+  const std::uint64_t id_bits = node_id_bits(g.num_nodes());
   // Empty classes announce nothing, but their rounds are still charged.
   for (auto it = class_matchings.rbegin(); it != class_matchings.rend();
        ++it) {
@@ -115,9 +114,7 @@ ClassMwmResult class_mwm(const WeightedGraph& wg,
       endpoint_killed[ed.u] = 1;
       endpoint_killed[ed.v] = 1;
       // Announcements from both endpoints to all their neighbors.
-      sweep.messages += g.degree(ed.u) + g.degree(ed.v);
-      sweep.total_bits += (g.degree(ed.u) + g.degree(ed.v)) * id_bits;
-      sweep.max_message_bits = std::max(sweep.max_message_bits, id_bits);
+      sweep.note_messages(g.degree(ed.u) + g.degree(ed.v), id_bits);
       survivors.push_back(e);
     }
   }

@@ -49,9 +49,7 @@ GeneralMcmResult general_mcm(const Graph& g, const GeneralMcmOptions& opts) {
     }
     NetStats color_round;
     color_round.rounds = 1;
-    for (NodeId v = 0; v < n; ++v) {
-      for (std::size_t i = 0; i < g.degree(v); ++i) color_round.note_message(1);
-    }
+    color_round.note_messages(2 * std::uint64_t{g.num_edges()}, 1);
     result.stats.merge(color_round);
 
     // Line 4: Ĝ. A vertex is in V̂ iff free or matched bichromatically;

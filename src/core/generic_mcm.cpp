@@ -18,8 +18,7 @@ GenericMcmResult generic_mcm(const Graph& g, const GenericMcmOptions& opts) {
   GenericMcmResult result;
   result.matching = Matching(g.num_nodes());
 
-  std::uint64_t id_bits = 1;
-  while ((std::uint64_t{1} << id_bits) < g.num_nodes() + 1) ++id_bits;
+  const std::uint64_t id_bits = node_id_bits(g.num_nodes());
 
   for (int l = 1; l <= 2 * k - 1; l += 2) {
     // Step 4 (Algorithm 2): gather radius-2l views.

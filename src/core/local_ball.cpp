@@ -28,6 +28,8 @@ using GossipNet = SyncNetwork<GossipMessage, GossipBits>;
 BallViews collect_balls(const Graph& g, const Matching& m, int radius,
                         const ExecContext& exec) {
   const NodeId n = g.num_nodes();
+  // ceil(log2 n) bits name one of n ids in an edge description — no
+  // "none" value is needed, so this is not node_id_bits(n).
   std::uint64_t id_bits = 1;
   while ((std::uint64_t{1} << id_bits) < n) ++id_bits;
 

@@ -1,6 +1,7 @@
 #include "core/weighted_mwm.hpp"
 
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/class_mwm.hpp"
@@ -60,7 +61,7 @@ WeightedMwmResult weighted_mwm(const WeightedGraph& wg,
 
   for (std::uint64_t iter = 0; iter < iterations; ++iter) {
     // Line 3: G' = (V, E, w_M). One exchange round, accounted.
-    const std::vector<double> gains =
+    std::vector<double> gains =
         gain_weights(wg, result.matching, &result.stats, opts.exec);
 
     // Restrict to positive-gain edges: a maximum-weight matching never
@@ -76,10 +77,22 @@ WeightedMwmResult weighted_mwm(const WeightedGraph& wg,
       result.weight_trajectory.push_back(result.matching.weight(wg));
       break;
     }
-    Subgraph sub = induced_subgraph(g, {}, keep_edge);
-    std::vector<double> sub_weights(sub.graph.num_edges());
-    for (EdgeId e = 0; e < sub.graph.num_edges(); ++e) {
-      sub_weights[e] = gains[sub.edge_to_parent[e]];
+    // When every edge has positive gain (always so in iteration 1, where
+    // M is empty), G' is G: share its store instead of copying the CSR.
+    Subgraph sub;
+    std::vector<double> sub_weights;
+    if (positive == g.num_edges()) {
+      sub.graph = g;
+      sub.edge_to_parent.resize(g.num_edges());
+      std::iota(sub.edge_to_parent.begin(), sub.edge_to_parent.end(),
+                EdgeId{0});
+      sub_weights = std::move(gains);
+    } else {
+      sub = induced_subgraph(g, {}, keep_edge);
+      sub_weights.resize(sub.graph.num_edges());
+      for (EdgeId e = 0; e < sub.graph.num_edges(); ++e) {
+        sub_weights[e] = gains[sub.edge_to_parent[e]];
+      }
     }
     WeightedGraph gprime =
         make_weighted(std::move(sub.graph), std::move(sub_weights));
@@ -101,11 +114,7 @@ WeightedMwmResult weighted_mwm(const WeightedGraph& wg,
     apply_wraps(g, result.matching, parent_edges);
     NetStats apply;
     apply.rounds = 1;
-    std::uint64_t id_bits = 1;
-    while ((std::uint64_t{1} << id_bits) < g.num_nodes() + 1) ++id_bits;
-    for (std::size_t i = 0; i < 2 * parent_edges.size(); ++i) {
-      apply.note_message(id_bits);
-    }
+    apply.note_messages(2 * parent_edges.size(), node_id_bits(g.num_nodes()));
     result.stats.merge(apply);
     result.weight_trajectory.push_back(result.matching.weight(wg));
   }

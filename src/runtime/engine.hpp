@@ -31,8 +31,9 @@
 //  * Structure-of-arrays message staging (DESIGN.md §15). A message in
 //    flight is not a struct: its receiver, its receiver-side incidence
 //    position (the inbox sort key), and its payload ride in parallel
-//    typed columns, per worker at send time and per shard slice after
-//    the exchange. Sender id and edge id are never stored at all — an
+//    typed columns — in a per-(worker, destination shard) bin at send
+//    time, then in the receiver-grouped delivery columns. Sender id and
+//    edge id are never stored at all — an
 //    inbox entry's key names the arc offsets[to] + key, whose adj_to /
 //    adj_edge entries are exactly the sender and the edge, so the
 //    InboxView proxy re-derives both from the receiver's own (cache-
@@ -42,14 +43,13 @@
 //    typed arrays.
 //  * Sharded mailbox delivery. Vertices are partitioned into contiguous
 //    power-of-two shards sized to the L2 cache (runtime/shard.hpp). A
-//    round's sends are first counting-sorted by destination shard (the
-//    boundary-exchange phase — the only pass that walks cross-shard
-//    traffic), then each shard's slice is counting-sorted by receiver
-//    and each inbox put into the receiver's incidence order. All
-//    vertex-indexed bookkeeping accesses in the second phase fall
-//    inside one shard's contiguous range, so they stay L2-resident at
-//    any graph size. Inbox construction touches only real messages,
-//    never the whole graph.
+//    send lands directly in its worker's bin for the receiver's shard,
+//    so no pass ever regroups a round's traffic by shard. Delivery then
+//    counting-sorts each shard's bins by receiver and puts each inbox
+//    into the receiver's incidence order. All vertex-indexed
+//    bookkeeping accesses fall inside one shard's contiguous range, so
+//    they stay L2-resident at any graph size. Inbox construction
+//    touches only real messages, never the whole graph.
 //  * Active-set scheduling. A node is stepped in a round iff it has
 //    incoming messages, called ctx.keep_active() in the previous round,
 //    or was activated for the round (activate(); the first round
@@ -297,10 +297,7 @@ class SyncNetwork {
     seed_ = seed;
     round_ = 0;
     for (PerWorker& w : workers_) {
-      w.send_to.clear();
-      w.send_key.clear();
-      w.send_seq.clear();
-      w.send_msg.clear();
+      for (Bin& b : w.bins) b.clear();
       w.wake.clear();
       w.stats = NetStats{};
       w.busy_ns = 0;
@@ -350,7 +347,7 @@ class SyncNetwork {
       const auto sent_round =
           static_cast<std::uint32_t>(round_ == 0 ? 0 : round_ - 1);
       for (PerWorker& w : workers_) {
-        w.send_seq.resize(w.send_to.size(), sent_round);
+        for (Bin& b : w.bins) b.seq.resize(b.to.size(), sent_round);
       }
     }
   }
@@ -582,23 +579,36 @@ class SyncNetwork {
     std::uint32_t cur;
   };
 
-  /// Per-worker accumulators, cache-line separated. Only the worker that
-  /// owns the struct touches it during a round.
-  ///
-  /// Outbound sends are parallel columns, fully resolved at enqueue
-  /// time: `send_to[i]` is message i's receiver, `send_key[i]` the
-  /// receiver-side incidence position of its arrival arc (which also
-  /// determines sender and edge — see InboxView), `send_msg[i]` the
-  /// payload. `send_seq` (the send round, the inbox tiebreak when fault
-  /// injection lands two messages from one channel in one round) is
-  /// populated only while message faults are active: fault-free inboxes
-  /// never repeat a key, so the column would be dead weight in the
-  /// exchange sweeps.
+  /// One worker's outbound sends to one destination shard, as parallel
+  /// columns fully resolved at enqueue time: `to[i]` is message i's
+  /// receiver, `key[i]` the receiver-side incidence position of its
+  /// arrival arc (which also determines sender and edge — see
+  /// InboxView), `msg[i]` the payload. `seq` (the send round, the inbox
+  /// tiebreak when fault injection lands two messages from one channel
+  /// in one round) is populated only while message faults are active:
+  /// fault-free inboxes never repeat a key, so the column would be dead
+  /// weight in the delivery sweeps. Cache-line aligned: shard-parallel
+  /// delivery clears neighbouring bins of one worker concurrently.
+  struct alignas(64) Bin {
+    std::vector<NodeId> to;
+    std::vector<std::uint32_t> key;
+    std::vector<std::uint32_t> seq;
+    std::vector<M> msg;
+
+    std::size_t size() const noexcept { return to.size(); }
+    void clear() noexcept {
+      to.clear();
+      key.clear();
+      seq.clear();
+      msg.clear();
+    }
+  };
+
+  /// Per-worker accumulators, cache-line separated. During the step
+  /// loop only the owning worker touches the struct; during delivery
+  /// shard s's task alone touches bins[s] of every worker.
   struct alignas(64) PerWorker {
-    std::vector<NodeId> send_to;
-    std::vector<std::uint32_t> send_key;
-    std::vector<std::uint32_t> send_seq;
-    std::vector<M> send_msg;
+    std::vector<Bin> bins;  // one per destination shard
     std::vector<NodeId> wake;
     NetStats stats;
     std::uint64_t busy_ns = 0;  // step-loop time this round (telemetry)
@@ -623,10 +633,7 @@ class SyncNetwork {
     }
     am.stamp = epoch();
     w.stats.note_message(meter_(msg));
-    w.send_to.push_back(s.adj_to[arc]);
-    w.send_key.push_back(am.slot);
-    if (seq_on_) w.send_seq.push_back(static_cast<std::uint32_t>(round_));
-    w.send_msg.push_back(std::move(msg));
+    stage(w, s.adj_to[arc], am.slot, std::move(msg));
   }
 
   /// send_all: one pass over the sender's row, no per-edge arc lookup.
@@ -642,18 +649,27 @@ class SyncNetwork {
       }
       am.stamp = epoch();
       w.stats.note_message(meter_(msg));
-      w.send_to.push_back(s.adj_to[arc]);
-      w.send_key.push_back(am.slot);
-      if (seq_on_) w.send_seq.push_back(static_cast<std::uint32_t>(round_));
-      w.send_msg.push_back(msg);
+      stage(w, s.adj_to[arc], am.slot, msg);
     }
+  }
+
+  /// Append one resolved send to w's bin for the receiver's shard.
+  void stage(PerWorker& w, NodeId to, std::uint32_t key, M msg) {
+    Bin& b = w.bins[plan_.shard_of(to)];
+    b.to.push_back(to);
+    b.key.push_back(key);
+    if (seq_on_) b.seq.push_back(static_cast<std::uint32_t>(round_));
+    b.msg.push_back(std::move(msg));
   }
 
   void ensure_workers() {
     const std::size_t want =
         (pool_ != nullptr && pool_->num_threads() > 1) ? pool_->num_threads()
                                                        : 1;
-    if (workers_.size() < want) workers_.resize(want);
+    if (workers_.size() < want) {
+      workers_.resize(want);
+      for (PerWorker& w : workers_) w.bins.resize(plan_.count);
+    }
   }
 
   void mark_active(NodeId v) {
@@ -674,72 +690,75 @@ class SyncNetwork {
   };
 
   void push_pending(PendingRec&& rec) {
-    PerWorker& w = workers_[0];
-    w.send_to.push_back(rec.to);
-    w.send_key.push_back(rec.key);
-    w.send_seq.push_back(rec.seq);
-    w.send_msg.push_back(std::move(rec.msg));
+    Bin& b = workers_[0].bins[plan_.shard_of(rec.to)];
+    b.to.push_back(rec.to);
+    b.key.push_back(rec.key);
+    b.seq.push_back(rec.seq);
+    b.msg.push_back(std::move(rec.msg));
   }
 
   /// Apply message fates to last round's sends, serially, before the
   /// counting-sort phases see them. Each message is decided exactly once
   /// (at its first delivery attempt); a delayed message is re-injected
   /// verbatim in its due round. Re-injected and duplicated records ride
-  /// in worker 0's columns — which worker carries a record never
-  /// matters, because the per-inbox (key, seq) sort fixes the final
-  /// order. The fate is keyed on (edge, sender, round); both derive
-  /// from the receiver-side arc named by the message's key.
+  /// in worker 0's bin for their receiver's shard — which worker carries
+  /// a record never matters, because the per-inbox (key, seq) sort fixes
+  /// the final order. The fate is keyed on (edge, sender, round); both
+  /// derive from the receiver-side arc named by the message's key.
   void inject_message_faults() {
     const GraphStore& s = graph_->store();
     telemetry::EventLog& elog = telemetry::EventLog::global();
     const bool tevents = elog.recording();
     for (PerWorker& w : workers_) {
-      const std::size_t n_sends = w.send_to.size();
-      std::size_t out = 0;
-      for (std::size_t i = 0; i < n_sends; ++i) {
-        const NodeId to = w.send_to[i];
-        const std::uint32_t key = w.send_key[i];
-        const std::uint64_t arc = s.offsets[to] + key;
-        const EdgeId edge = s.adj_edge[arc];
-        const NodeId from = s.adj_to[arc];
-        const faults::MessageFate fate = faults_->decide(edge, from, round_);
-        if (fate.drop) {
-          if (tevents) {
-            elog.emit(telemetry::EventKind::kFaultDrop, round_, edge, from);
-          }
-          continue;
-        }
-        if (fate.delay > 0) {
-          if (tevents) {
-            elog.emit(telemetry::EventKind::kFaultDelay, round_, edge, from,
-                      fate.delay);
-          }
-          delayed_.push_back(PendingRec{round_ + fate.delay, to, key,
-                                        w.send_seq[i],
-                                        std::move(w.send_msg[i])});
-          continue;
-        }
-        if (fate.dup) {
-          if constexpr (std::is_copy_constructible_v<M>) {
+      for (Bin& b : w.bins) {
+        const std::size_t n_sends = b.size();
+        std::size_t out = 0;
+        for (std::size_t i = 0; i < n_sends; ++i) {
+          const NodeId to = b.to[i];
+          const std::uint32_t key = b.key[i];
+          const std::uint64_t arc = s.offsets[to] + key;
+          const EdgeId edge = s.adj_edge[arc];
+          const NodeId from = s.adj_to[arc];
+          const faults::MessageFate fate =
+              faults_->decide(edge, from, round_);
+          if (fate.drop) {
             if (tevents) {
-              elog.emit(telemetry::EventKind::kFaultDup, round_, edge, from);
+              elog.emit(telemetry::EventKind::kFaultDrop, round_, edge, from);
             }
-            dup_buf_.push_back(
-                PendingRec{round_, to, key, w.send_seq[i], w.send_msg[i]});
+            continue;
           }
+          if (fate.delay > 0) {
+            if (tevents) {
+              elog.emit(telemetry::EventKind::kFaultDelay, round_, edge,
+                        from, fate.delay);
+            }
+            delayed_.push_back(PendingRec{round_ + fate.delay, to, key,
+                                          b.seq[i], std::move(b.msg[i])});
+            continue;
+          }
+          if (fate.dup) {
+            if constexpr (std::is_copy_constructible_v<M>) {
+              if (tevents) {
+                elog.emit(telemetry::EventKind::kFaultDup, round_, edge,
+                          from);
+              }
+              dup_buf_.push_back(
+                  PendingRec{round_, to, key, b.seq[i], b.msg[i]});
+            }
+          }
+          if (out != i) {
+            b.to[out] = to;
+            b.key[out] = key;
+            b.seq[out] = b.seq[i];
+            b.msg[out] = std::move(b.msg[i]);
+          }
+          ++out;
         }
-        if (out != i) {
-          w.send_to[out] = to;
-          w.send_key[out] = key;
-          w.send_seq[out] = w.send_seq[i];
-          w.send_msg[out] = std::move(w.send_msg[i]);
-        }
-        ++out;
+        b.to.resize(out);
+        b.key.resize(out);
+        b.seq.resize(out);
+        b.msg.resize(out);
       }
-      w.send_to.resize(out);
-      w.send_key.resize(out);
-      w.send_seq.resize(out);
-      w.send_msg.resize(out);
     }
     for (PendingRec& rec : dup_buf_) push_pending(std::move(rec));
     dup_buf_.clear();
@@ -811,35 +830,32 @@ class SyncNetwork {
     }
   }
 
-  /// Merge last round's per-worker send columns into contiguous
-  /// per-receiver inbox ranges, in two counting-sort phases:
+  /// Merge last round's per-(worker, shard) bins into contiguous
+  /// per-receiver inbox ranges. Sends were binned by destination shard
+  /// at enqueue time, so the only serial work is a prefix sum over the
+  /// W×S bin sizes, which fixes each shard's slice of the delivery
+  /// columns. Then, per shard: counting-sort bins (0,s) … (W−1,s), read
+  /// in worker order, by receiver into the shard's slice, and put each
+  /// inbox range into incidence order. Every vertex-indexed access
+  /// (stamps, counts, offsets) falls in the shard's contiguous id range,
+  /// which is sized to L2.
   ///
-  ///  1. Boundary exchange: scatter every send into its destination
-  ///     shard's slice of the scratch columns (counting sort on shard
-  ///     id — the only pass whose memory touches are cross-shard).
-  ///  2. Per shard: counting-sort the shard's slice by receiver into
-  ///     the delivery columns and put each inbox range into incidence
-  ///     order. Every vertex-indexed access (stamps, counts, offsets)
-  ///     falls in the shard's contiguous id range, which is sized to L2.
-  ///
-  /// Both passes are linear sweeps over the typed columns: per message
-  /// they move {to, key[, seq]} plus the payload and nothing else.
-  /// O(messages + active shards). Shard slices are disjoint in every
-  /// array they touch, so phase 2 runs shard-parallel under a pool.
+  /// Per message the sweep moves {to, key[, seq]} plus the payload and
+  /// nothing else. O(messages + W×S). Shard tasks touch disjoint bins
+  /// and disjoint slices, so the per-shard work runs shard-parallel
+  /// under a pool.
   void build_inboxes(bool tmetrics, bool ttrace) {
     const bool tel = tmetrics || ttrace;
     telemetry::Tracer& tracer = telemetry::Tracer::global();
     telemetry::EventLog& elog = telemetry::EventLog::global();
     const bool tevents = elog.recording();
     // Fault seam: one branch per round while no injector is attached; the
-    // serial pass mutates only per-worker send columns plus the delayed
+    // serial pass mutates only the per-worker bins plus the delayed
     // queue, before any counting begins.
     if (faults_ != nullptr && faults_->message_faults()) {
       inject_message_faults();
     }
     const bool with_seq = seq_on_;
-    std::size_t total = 0;
-    for (const PerWorker& w : workers_) total += w.send_to.size();
     dlv_key_.clear();
     dlv_seq_.clear();
     dlv_msg_.clear();
@@ -847,39 +863,18 @@ class SyncNetwork {
       shard_receivers_.assign(plan_.count, {});
     }
     for (std::vector<NodeId>& rs : shard_receivers_) rs.clear();
-    if (total == 0) return;
 
+    // Phase 1: shard s's slice starts after every bin of shards < s.
     const std::uint64_t t_p1 = tel ? telemetry::now_ns() : 0;
     const unsigned num_shards = plan_.count;
-    // Phase 1: bin by destination shard.
-    shard_cnt_.assign(num_shards + 1, 0);
-    for (const PerWorker& w : workers_) {
-      for (const NodeId to : w.send_to) {
-        ++shard_cnt_[plan_.shard_of(to) + 1];
-      }
-    }
+    shard_off_.resize(num_shards + 1);
+    std::size_t total = 0;
     for (unsigned s = 0; s < num_shards; ++s) {
-      shard_cnt_[s + 1] += shard_cnt_[s];
+      shard_off_[s] = total;
+      for (const PerWorker& w : workers_) total += w.bins[s].size();
     }
-    shard_off_ = shard_cnt_;  // keep range boundaries; shard_cnt_ cursors
-    scr_to_.resize(total);
-    scr_key_.resize(total);
-    if (with_seq) scr_seq_.resize(total);
-    scr_msg_.resize(total);
-    for (PerWorker& w : workers_) {
-      const std::size_t k = w.send_to.size();
-      for (std::size_t i = 0; i < k; ++i) {
-        const std::size_t pos = shard_cnt_[plan_.shard_of(w.send_to[i])]++;
-        scr_to_[pos] = w.send_to[i];
-        scr_key_[pos] = w.send_key[i];
-        if (with_seq) scr_seq_[pos] = w.send_seq[i];
-        scr_msg_[pos] = std::move(w.send_msg[i]);
-      }
-      w.send_to.clear();
-      w.send_key.clear();
-      w.send_seq.clear();
-      w.send_msg.clear();
-    }
+    shard_off_[num_shards] = total;
+    if (total == 0) return;
     const std::uint64_t t_p1_end = tel ? telemetry::now_ns() : 0;
     if (tmetrics) {
       telemetry::EngineMetrics::get().exchange_p1_ns.record(t_p1_end - t_p1);
@@ -907,14 +902,16 @@ class SyncNetwork {
       if (sb == se) return;
       const std::uint64_t t_s0 = tel ? telemetry::now_ns() : 0;
       std::vector<NodeId>& recv = shard_receivers_[s];
-      for (std::size_t i = sb; i < se; ++i) {
-        InboxMeta& im = inbox_meta_[scr_to_[i]];
-        if (im.stamp != tag) {
-          im.stamp = tag;
-          im.cnt = 0;
-          recv.push_back(scr_to_[i]);
+      for (const PerWorker& w : workers_) {
+        for (const NodeId to : w.bins[s].to) {
+          InboxMeta& im = inbox_meta_[to];
+          if (im.stamp != tag) {
+            im.stamp = tag;
+            im.cnt = 0;
+            recv.push_back(to);
+          }
+          ++im.cnt;
         }
-        ++im.cnt;
       }
       std::uint32_t off = static_cast<std::uint32_t>(sb);
       for (NodeId r : recv) {
@@ -923,11 +920,15 @@ class SyncNetwork {
         im.cur = off;
         off += im.cnt;
       }
-      for (std::size_t i = sb; i < se; ++i) {
-        const std::size_t pos = inbox_meta_[scr_to_[i]].cur++;
-        dlv_key_[pos] = scr_key_[i];
-        if (with_seq) dlv_seq_[pos] = scr_seq_[i];
-        dlv_msg_[pos] = std::move(scr_msg_[i]);
+      for (PerWorker& w : workers_) {
+        Bin& b = w.bins[s];
+        for (std::size_t i = 0; i < b.size(); ++i) {
+          const std::size_t pos = inbox_meta_[b.to[i]].cur++;
+          dlv_key_[pos] = b.key[i];
+          if (with_seq) dlv_seq_[pos] = b.seq[i];
+          dlv_msg_[pos] = std::move(b.msg[i]);
+        }
+        b.clear();
       }
       const std::uint64_t t_s1 = tel ? telemetry::now_ns() : 0;
       for (NodeId r : recv) {
@@ -1011,20 +1012,14 @@ class SyncNetwork {
   // the precomputed receiver-side incidence position per channel.
   std::vector<ArcMeta> arc_meta_;  // 2m
 
-  // This round's mailbox, as parallel columns: shard-binned staging
-  // (scr_*) then receiver-grouped, inbox-ordered deliveries (dlv_*),
-  // plus the per-receiver range bookkeeping (all stamped by round, so
-  // none of it is ever swept). The seq columns stay empty unless
-  // message faults are active.
-  std::vector<NodeId> scr_to_;
-  std::vector<std::uint32_t> scr_key_;
-  std::vector<std::uint32_t> scr_seq_;
-  std::vector<M> scr_msg_;
+  // This round's mailbox, as receiver-grouped, inbox-ordered delivery
+  // columns (dlv_*), plus the per-receiver range bookkeeping (all
+  // stamped by round, so none of it is ever swept). The seq column
+  // stays empty unless message faults are active.
   std::vector<std::uint32_t> dlv_key_;
   std::vector<std::uint32_t> dlv_seq_;
   std::vector<M> dlv_msg_;
   std::vector<std::vector<NodeId>> shard_receivers_;
-  std::vector<std::size_t> shard_cnt_;  // shards+1; reused as cursors
   std::vector<std::size_t> shard_off_;  // shards+1
   std::vector<InboxMeta> inbox_meta_;   // n
 

@@ -21,6 +21,16 @@ struct NetStats {
     max_message_bits = std::max(max_message_bits, bits);
   }
 
+  /// `count` messages of `bits` each, in O(1); the same as `count` calls
+  /// of note_message(bits). A count of 0 notes nothing, not even bits
+  /// into max_message_bits.
+  void note_messages(std::uint64_t count, std::uint64_t bits) noexcept {
+    if (count == 0) return;
+    messages += count;
+    total_bits += count * bits;
+    max_message_bits = std::max(max_message_bits, bits);
+  }
+
   /// Combine counters (parallel workers, or algorithm phases).
   void merge(const NetStats& other) noexcept {
     rounds += other.rounds;
@@ -40,6 +50,14 @@ struct NetStats {
     max_message_bits = std::max(max_message_bits, other.max_message_bits);
   }
 };
+
+/// Bits of a message naming one node id (or "none") of an n-node
+/// graph: the least b >= 1 with 2^b >= n + 1.
+inline std::uint64_t node_id_bits(std::uint64_t n) noexcept {
+  std::uint64_t b = 1;
+  while ((std::uint64_t{1} << b) < n + 1) ++b;
+  return b;
+}
 
 // Per-round traces live in src/telemetry (Tracer spans + the
 // engine.messages_per_round series); the old RoundTrace struct that sat

@@ -6,9 +6,9 @@
 // per-node solver state) are contiguous byte ranges. The auto plan
 // sizes shards so one shard's engine working set fits comfortably in
 // the detected L2 cache: the per-round mailbox counting sort and the
-// step loop then stay inside one shard's working set, and only the
-// boundary exchange (the shard-binning pass) walks memory proportional
-// to cross-shard traffic.
+// step loop then stay inside one shard's working set. Sends are binned
+// by destination shard as they are made, so no pass regroups a round's
+// cross-shard traffic.
 #pragma once
 
 #include <cstddef>

@@ -249,7 +249,7 @@ struct EngineMetrics {
   Counter& rounds;
   Counter& messages_delivered;
   Histogram& round_ns;        // whole run_round
-  Histogram& exchange_p1_ns;  // boundary exchange: bin by dest shard
+  Histogram& exchange_p1_ns;  // shard offsets: prefix sum over send bins
   Histogram& exchange_p2_ns;  // per shard: sort by receiver + scatter
   Histogram& inbox_sort_ns;   // per shard: per-receiver incidence sort
   Histogram& step_ns;         // active-set step loop

@@ -20,6 +20,7 @@
 #include "faults/recovery.hpp"
 #include "faults/scenarios.hpp"
 #include "graph/generators.hpp"
+#include "runtime/shard.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
 
@@ -138,32 +139,38 @@ constexpr const char* kMessageChaos =
 
 TEST(EngineFaults, ScheduleBitIdenticalAcrossThreadsAndShards) {
   Rng rng(7);
-  const Graph g = erdos_renyi(512, 6.0 / 512.0, rng);
-  std::vector<EdgeId> reference;
-  NetStats ref_stats;
-  bool first = true;
-  for (const unsigned threads : {1u, 4u}) {
-    ThreadPool pool(threads);
-    for (const unsigned shards : {1u, 4u}) {
-      IsraeliItaiOptions opts;
-      opts.seed = 99;
-      opts.faults = kMessageChaos;
-      opts.exec = {.pool = threads == 1 ? nullptr : &pool, .shards = shards};
-      const DistMatchingResult res = israeli_itai(g, opts);
-      EXPECT_TRUE(is_valid_matching(g, res.matching.edge_ids(g)));
-      if (first) {
-        reference = res.matching.edge_ids(g);
-        ref_stats = res.stats;
-        first = false;
-      } else {
-        EXPECT_EQ(res.matching.edge_ids(g), reference)
-            << "threads=" << threads << " shards=" << shards;
-        EXPECT_EQ(res.stats.rounds, ref_stats.rounds);
-        EXPECT_EQ(res.stats.messages, ref_stats.messages);
-        EXPECT_EQ(res.stats.total_bits, ref_stats.total_bits);
+  // At n = 4096 the engine plans four shards (shards are at least 1024
+  // vertices wide), so duplicate and delayed records land in worker 0's
+  // bins of several shards and shard-parallel delivery drains them.
+  for (const NodeId n : {NodeId{512}, NodeId{4096}}) {
+    const Graph g = erdos_renyi(n, 6.0 / n, rng);
+    std::vector<EdgeId> reference;
+    NetStats ref_stats;
+    bool first = true;
+    for (const unsigned threads : {1u, 4u}) {
+      ThreadPool pool(threads);
+      for (const unsigned shards : {1u, 4u}) {
+        IsraeliItaiOptions opts;
+        opts.seed = 99;
+        opts.faults = kMessageChaos;
+        opts.exec = {.pool = threads == 1 ? nullptr : &pool, .shards = shards};
+        const DistMatchingResult res = israeli_itai(g, opts);
+        EXPECT_TRUE(is_valid_matching(g, res.matching.edge_ids(g)));
+        if (first) {
+          reference = res.matching.edge_ids(g);
+          ref_stats = res.stats;
+          first = false;
+        } else {
+          EXPECT_EQ(res.matching.edge_ids(g), reference)
+              << "n=" << n << " threads=" << threads << " shards=" << shards;
+          EXPECT_EQ(res.stats.rounds, ref_stats.rounds);
+          EXPECT_EQ(res.stats.messages, ref_stats.messages);
+          EXPECT_EQ(res.stats.total_bits, ref_stats.total_bits);
+        }
       }
     }
   }
+  EXPECT_EQ(plan_shards(4096, 4).count, 4u);
 }
 
 TEST(EngineFaults, EveryScenarioMessageHalfYieldsValidMatching) {

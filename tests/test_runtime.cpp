@@ -700,5 +700,38 @@ TEST(NetStats, MergeAndScaledMerge) {
   EXPECT_EQ(scaled.rounds, 10u + 20u);
 }
 
+TEST(NetStats, BulkNoteEqualsRepeatedNote) {
+  // Start from a non-empty meter whose max sits between the two widths,
+  // so a zero-count bulk note of a wider message visibly must not move it.
+  for (const std::uint64_t bits : {std::uint64_t{3}, std::uint64_t{40}}) {
+    for (const std::uint64_t count : {0u, 1u, 1000u}) {
+      NetStats bulk;
+      bulk.note_message(17);
+      NetStats repeated = bulk;
+      bulk.note_messages(count, bits);
+      for (std::uint64_t i = 0; i < count; ++i) repeated.note_message(bits);
+      EXPECT_EQ(bulk.messages, repeated.messages) << count << "x" << bits;
+      EXPECT_EQ(bulk.total_bits, repeated.total_bits) << count << "x" << bits;
+      EXPECT_EQ(bulk.max_message_bits, repeated.max_message_bits)
+          << count << "x" << bits;
+      EXPECT_EQ(bulk.rounds, repeated.rounds);
+    }
+  }
+  NetStats empty;
+  empty.note_messages(0, 64);
+  EXPECT_EQ(empty.max_message_bits, 0u);
+}
+
+TEST(NetStats, NodeIdBitsNamesEveryIdPlusNone) {
+  // n ids plus a "none" value need ceil(log2(n + 1)) bits, at least 1.
+  EXPECT_EQ(node_id_bits(0), 1u);
+  EXPECT_EQ(node_id_bits(1), 1u);
+  EXPECT_EQ(node_id_bits(2), 2u);
+  EXPECT_EQ(node_id_bits(3), 2u);
+  EXPECT_EQ(node_id_bits(4), 3u);
+  EXPECT_EQ(node_id_bits(65535), 16u);
+  EXPECT_EQ(node_id_bits(65536), 17u);
+}
+
 }  // namespace
 }  // namespace lps

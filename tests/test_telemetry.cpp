@@ -17,6 +17,7 @@
 #include "runtime/thread_pool.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_reader.hpp"
+#include "util/rng.hpp"
 
 namespace lps {
 namespace {
@@ -253,6 +254,58 @@ TEST(Tracer, EngineSetupSpansCoverConstructionAndReset) {
     reset_flags.push_back(s.args.at("reset"));
   }
   EXPECT_EQ(reset_flags, (std::vector<double>{0.0, 1.0}));
+}
+
+TEST(Telemetry, EngineRecordsEveryPhasePerDeliveringRound) {
+  // Every round that delivers messages records one exchange_p1 sample
+  // and one engine.exchange.p1 span, and at least one sample of each
+  // per-shard phase; the step loop records every round. Run on a
+  // two-shard plan under a two-thread pool, so the shard-parallel
+  // delivery path is the one timed.
+  Rng rng(5);
+  const Graph g = erdos_renyi(4096, 4.0 / 4096.0, rng);
+  ThreadPool pool(2);
+  SyncNetwork<int> net(g, 1, {}, {.pool = &pool, .shards = 2});
+  ASSERT_GE(net.shard_plan().count, 2u);
+
+  tel::EngineMetrics& em = tel::EngineMetrics::get();
+  tel::Tracer& tracer = tel::Tracer::global();
+  const bool prev_enabled = tel::enabled();
+  const tel::HistogramSnapshot p1_0 = em.exchange_p1_ns.snapshot();
+  const tel::HistogramSnapshot p2_0 = em.exchange_p2_ns.snapshot();
+  const tel::HistogramSnapshot sort_0 = em.inbox_sort_ns.snapshot();
+  const tel::HistogramSnapshot step_0 = em.step_ns.snapshot();
+  tel::set_enabled(true);
+  tracer.reset();
+  tracer.set_recording(true);
+  std::uint64_t delivering = 0;
+  std::uint64_t rounds = 0;
+  for (; rounds < 5; ++rounds) {
+    net.run_round([](SyncNetwork<int>::Ctx& ctx) {
+      if (ctx.round() < 3) ctx.send_all(static_cast<int>(ctx.round()));
+    });
+    if (net.last_round_deliveries() > 0) ++delivering;
+  }
+  tracer.set_recording(false);
+  tel::set_enabled(prev_enabled);
+  EXPECT_EQ(delivering, 3u);
+
+  EXPECT_EQ(em.exchange_p1_ns.snapshot().count - p1_0.count, delivering);
+  EXPECT_GE(em.exchange_p2_ns.snapshot().count - p2_0.count, delivering);
+  EXPECT_GE(em.inbox_sort_ns.snapshot().count - sort_0.count, delivering);
+  EXPECT_GE(em.step_ns.snapshot().count - step_0.count, rounds);
+
+  std::ostringstream os;
+  tracer.write_chrome_trace(os);
+  tracer.reset();
+  tel::TraceDoc doc;
+  std::string error;
+  ASSERT_TRUE(tel::load_chrome_trace(os.str(), doc, &error)) << error;
+  std::uint64_t p1_spans = 0;
+  for (const tel::TraceSpan& s : doc.spans) {
+    if (s.name == "engine.exchange.p1") ++p1_spans;
+  }
+  EXPECT_EQ(p1_spans, delivering);
 }
 
 TEST(TraceReader, RejectsMalformedDocuments) {

@@ -311,6 +311,54 @@ TEST(WeightedMwm, ConvergedEarlyOnLocalOptimum) {
   EXPECT_DOUBLE_EQ(res.matching.weight(wg), 5.0);
 }
 
+TEST(WeightedMwm, FirstIterationSharesTheGraphStore) {
+  // While every edge has positive gain (iteration 1: M is empty), G' is
+  // G itself and shares its GraphStore; once some gain is non-positive,
+  // G' is a rebuilt subgraph. Either way the black box sees the same
+  // graph as one that always gets a freshly built copy.
+  Rng rng(29);
+  Graph g = erdos_renyi(200, 0.04, rng);
+  auto w = uniform_weights(g.num_edges(), 1.0, 50.0, rng);
+  const WeightedGraph wg = make_weighted(std::move(g), std::move(w));
+  auto class_box = [](const WeightedGraph& gp, std::uint64_t seed,
+                      NetStats* stats) {
+    ClassMwmOptions copts;
+    copts.seed = seed;
+    ClassMwmResult res = class_mwm(gp, copts);
+    stats->merge(res.stats);
+    return std::move(res.matching);
+  };
+
+  std::vector<bool> shared;
+  WeightedMwmOptions opts;
+  opts.eps = 0.1;
+  opts.seed = 4;
+  opts.max_iterations = 4;
+  opts.black_box = [&](const WeightedGraph& gp, std::uint64_t seed,
+                       NetStats* stats) {
+    shared.push_back(&gp.graph.store() == &wg.graph.store());
+    return class_box(gp, seed, stats);
+  };
+  const WeightedMwmResult res = weighted_mwm(wg, opts);
+  ASSERT_GE(shared.size(), 2u);
+  EXPECT_TRUE(shared[0]);
+  EXPECT_FALSE(shared[1]);  // M is non-empty: its edges gain nothing
+
+  opts.black_box = [&](const WeightedGraph& gp, std::uint64_t seed,
+                       NetStats* stats) {
+    const Subgraph copy = induced_subgraph(gp.graph, {}, {});
+    EXPECT_NE(&copy.graph.store(), &gp.graph.store());
+    const Matching m =
+        class_box(make_weighted(copy.graph, gp.weights), seed, stats);
+    return Matching::from_edges(gp.graph, m.edge_ids(copy.graph));
+  };
+  const WeightedMwmResult rebuilt = weighted_mwm(wg, opts);
+  EXPECT_EQ(res.matching.edge_ids(wg.graph),
+            rebuilt.matching.edge_ids(wg.graph));
+  EXPECT_EQ(res.stats.messages, rebuilt.stats.messages);
+  EXPECT_EQ(res.weight_trajectory, rebuilt.weight_trajectory);
+}
+
 TEST(WeightedMwm, RejectsBadParameters) {
   const WeightedGraph wg = make_weighted(path_graph(2), {1.0});
   WeightedMwmOptions opts;
