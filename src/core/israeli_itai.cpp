@@ -108,14 +108,18 @@ DistMatchingResult IsraeliItaiRunner::run(const IsraeliItaiOptions& opts) {
                                        ? opts.max_phases
                                        : israeli_itai_default_max_phases(n);
 
-  // Active-set contract: every free node keeps itself alive from stage
-  // to stage (at stage 0 only while it still sees a live candidate — a
-  // node whose neighbors all announced kMatched can never propose or be
-  // proposed to again, the same freeze the lca oracle exploits).
+  // Active-set contract: a node acts without mail only at stage 0 (its
+  // coin and proposal); at stages 1 and 2 only receivers can act, so
+  // only receivers are stepped there. A free node that sees a live
+  // candidate at stage 0 therefore wakes itself with keep_active(3) for
+  // the next stage 0 and sleeps through stages 1 and 2 unless mail
+  // arrives. A node whose neighbors all announced kMatched can never
+  // propose or be proposed to again (the same freeze the lca oracle
+  // exploits), so it sleeps until mail or a resync activation wakes it.
   // Matched nodes drop out and are only woken by announcements, which
-  // arrive as ordinary messages. This reproduces the step-everything
-  // execution bit for bit: a node skipped here would neither send nor
-  // mutate observable state if stepped.
+  // arrive as ordinary messages. Fault-free, this reproduces the
+  // step-everything execution bit for bit: a node skipped here would
+  // neither send nor mutate observable state if stepped.
   auto step = [&](IiNet::Ctx& ctx) {
     const NodeId v = ctx.id();
     const auto nbrs = ctx.graph().neighbors(v);
@@ -128,6 +132,12 @@ DistMatchingResult IsraeliItaiRunner::run(const IsraeliItaiOptions& opts) {
         neighbor_free[adj_offset[v] + in.slot] = 0;
       }
     }
+    // Announce a new match on every incidence but the matched one.
+    auto announce = [&](std::uint32_t matched_slot) {
+      for (std::uint32_t i = 0; i < nbrs.size(); ++i) {
+        if (i != matched_slot) ctx.send_slot(i, IiMessage{IiType::kMatched});
+      }
+    };
     const bool free = matched_edge[v] == kInvalidEdge;
 
     if (stage == 0) {  // propose
@@ -143,50 +153,55 @@ DistMatchingResult IsraeliItaiRunner::run(const IsraeliItaiOptions& opts) {
         }
       }
       had_candidates[v] = candidates > 0 ? 1 : 0;
-      if (candidates > 0) ctx.keep_active();
+      if (candidates > 0) ctx.keep_active(3);
       if (!coin[v] || candidates == 0) return;
       std::uint32_t pick = static_cast<std::uint32_t>(ctx.rng().below(candidates));
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      for (std::uint32_t i = 0; i < nbrs.size(); ++i) {
         if (neighbor_free[adj_offset[v] + i] && active(nbrs[i].edge)) {
           if (pick == 0) {
             proposal_edge[v] = nbrs[i].edge;
-            ctx.send(nbrs[i].edge, IiMessage{IiType::kPropose});
+            ctx.send_slot(i, IiMessage{IiType::kPropose});
             break;
           }
           --pick;
         }
       }
-    } else if (stage == 1) {  // accept
-      if (free) ctx.keep_active();
-      if (!free || coin[v]) return;
-      std::vector<EdgeId> proposals;
-      for (const auto& in : ctx.inbox()) {
-        if (in.payload->type == IiType::kPropose && active(in.edge)) {
-          proposals.push_back(in.edge);
+      return;
+    }
+    if (stage == 1 && free && !coin[v]) {  // accept
+      // Count the proposals, draw one, then find it in the inbox.
+      auto is_proposal = [&](const IiNet::Incoming& in) {
+        return in.payload->type == IiType::kPropose && active(in.edge);
+      };
+      std::uint32_t proposals = 0;
+      for (const auto& in : ctx.inbox()) proposals += is_proposal(in) ? 1 : 0;
+      if (proposals > 0) {
+        auto pick = static_cast<std::uint32_t>(ctx.rng().below(proposals));
+        for (const auto& in : ctx.inbox()) {
+          if (!is_proposal(in) || pick-- != 0) continue;
+          matched_edge[v] = in.edge;
+          ctx.send_slot(in.slot, IiMessage{IiType::kAccept});
+          announce(in.slot);
+          break;
         }
       }
-      if (proposals.empty()) return;
-      const EdgeId chosen = proposals[ctx.rng().below(proposals.size())];
-      matched_edge[v] = chosen;
-      ctx.send(chosen, IiMessage{IiType::kAccept});
-      for (const auto& inc : nbrs) {
-        if (inc.edge != chosen) ctx.send(inc.edge, IiMessage{IiType::kMatched});
-      }
-    } else {  // stage 2: proposers learn their fate
-      if (free) ctx.keep_active();
-      if (!free || !coin[v] || proposal_edge[v] == kInvalidEdge) return;
+    } else if (stage == 2 && free && coin[v] &&
+               proposal_edge[v] != kInvalidEdge) {  // proposers learn fate
       for (const auto& in : ctx.inbox()) {
         if (in.payload->type == IiType::kAccept &&
             in.edge == proposal_edge[v]) {
           matched_edge[v] = proposal_edge[v];
-          for (const auto& inc : nbrs) {
-            if (inc.edge != proposal_edge[v]) {
-              ctx.send(inc.edge, IiMessage{IiType::kMatched});
-            }
-          }
+          announce(in.slot);
           break;
         }
       }
+    }
+    // A node still free after mail at stage 1 or 2 that did not wake
+    // itself at stage 0 (only message faults produce one) runs the next
+    // stage 0 as well: that stage redraws the coin by which a late
+    // proposal is judged.
+    if (matched_edge[v] == kInvalidEdge && !had_candidates[v]) {
+      ctx.keep_active(3 - static_cast<unsigned>(stage));
     }
   };
 

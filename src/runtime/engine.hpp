@@ -51,10 +51,15 @@
 //    they stay L2-resident at any graph size. Inbox construction
 //    touches only real messages, never the whole graph.
 //  * Active-set scheduling. A node is stepped in a round iff it has
-//    incoming messages, called ctx.keep_active() in the previous round,
-//    or was activated for the round (activate(); the first round
-//    defaults to every node unless restrict_initial_active() was
-//    called). Active nodes are bucketed per shard and stepped shard by
+//    incoming messages, woke itself for the round with
+//    ctx.keep_active(k) k rounds earlier (k = 1: the next round), or
+//    was activated for the round (activate(); the first round defaults
+//    to every node unless restrict_initial_active() was called). Wakes
+//    and activations are staged like sends: in the worker's bin for
+//    the node's shard, in a small ring of slots indexed by due round.
+//    Each shard's delivery task assembles that shard's active set from
+//    its receivers and its due wakes, so no serial pass over the
+//    round's traffic builds it; active nodes are then stepped shard by
 //    shard, so node state and CSR rows are walked in shard order.
 //    Protocols whose spontaneous sends cannot be expressed this way opt
 //    out with step_all_nodes(), restoring the exact old
@@ -62,7 +67,8 @@
 //    per-(node, round) substreams and an unstepped node would neither
 //    send nor mutate state, an execution under active-set scheduling is
 //    bit-identical to a step_all_nodes() execution whenever the protocol
-//    keeps alive every node that might act without an incoming message.
+//    wakes every node for every round in which it might act without an
+//    incoming message.
 //
 // A node program is any callable `void step(Ctx& ctx)`; persistent node
 // state lives in arrays owned by the algorithm object (indexed by node
@@ -76,6 +82,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -193,6 +200,9 @@ class SyncNetwork {
 
   using BitMeter = std::function<std::uint64_t(const M&)>;
 
+  /// The furthest round ahead ctx.keep_active(k) can wake a node.
+  static constexpr unsigned kMaxWakeDelay = 3;
+
  private:
   struct PerWorker;  // defined below; Ctx holds a pointer to its worker
 
@@ -217,19 +227,32 @@ class SyncNetwork {
     const InboxView& inbox() const noexcept { return inbox_; }
 
     /// Send along edge e to the other endpoint (delivered next round).
+    /// Finds e by scanning the sender's row; send_slot() skips the scan.
     void send(EdgeId e, M msg) {
       net_->enqueue(id_, e, std::move(msg), *worker_);
+    }
+
+    /// Send along the node's i-th incidence (graph().neighbors(id())[i],
+    /// the same position as an inbox entry's `slot`): no arc scan.
+    void send_slot(std::uint32_t i, M msg) {
+      net_->enqueue_slot(id_, i, std::move(msg), *worker_);
     }
 
     /// Send a copy of msg to every neighbor (one row walk, no per-edge
     /// arc lookup).
     void send_all(const M& msg) { net_->enqueue_all(id_, msg, *worker_); }
 
-    /// Stay in the next round's active set even without incoming
-    /// messages. Call it whenever this node might act spontaneously next
-    /// round; a no-op under step_all_nodes().
-    void keep_active() {
-      if (!net_->step_all_) worker_->wake.push_back(id_);
+    /// Be stepped in round round() + k even without incoming messages
+    /// (k = 1: the next round), skipping the rounds in between unless
+    /// mail arrives. Call it whenever this node might act spontaneously
+    /// in that round; 1 <= k <= kMaxWakeDelay, else logic_error. A no-op
+    /// under step_all_nodes().
+    void keep_active(unsigned k = 1) {
+      if (k == 0 || k > kMaxWakeDelay) {
+        throw std::logic_error(
+            "SyncNetwork::keep_active: k outside [1, kMaxWakeDelay]");
+      }
+      if (!net_->step_all_) net_->stage_wake(*worker_, id_, net_->round_ + k);
     }
 
    private:
@@ -254,10 +277,11 @@ class SyncNetwork {
     const NodeId n = g.num_nodes();
     plan_ = plan_shards(n, exec.shards);
     shard_active_.resize(plan_.count);
+    active_off_.resize(plan_.count + 1);
     arc_meta_.assign(2 * static_cast<std::size_t>(g.num_edges()),
                      ArcMeta{kNeverEpoch, 0});
     inbox_meta_.assign(n, InboxMeta{kNeverEpoch, 0, 0, 0});
-    active_stamp_.assign(n, kNeverEpoch);
+    active_bits_.assign((std::size_t{n} + 63) / 64, 0);
     // Directed channels are indexed by CSR *arc*: the channel on which v
     // sends along its i-th incidence is arc offsets[v] + i. Senders then
     // stamp and read channel state at positions inside their own row —
@@ -297,12 +321,13 @@ class SyncNetwork {
     seed_ = seed;
     round_ = 0;
     for (PerWorker& w : workers_) {
-      for (Bin& b : w.bins) b.clear();
-      w.wake.clear();
+      for (Bin& b : w.bins) {
+        b.clear();
+        for (std::vector<NodeId>& slot : b.wake) slot.clear();
+      }
       w.stats = NetStats{};
       w.busy_ns = 0;
     }
-    pending_activations_.clear();
     step_all_ = false;
     initial_restricted_ = false;
     delayed_.clear();
@@ -325,7 +350,10 @@ class SyncNetwork {
 
   /// Queue v for the next run_round's active set (on top of message
   /// receivers and keep_active callers). Callable between rounds only.
-  void activate(NodeId v) { pending_activations_.push_back(v); }
+  void activate(NodeId v) {
+    ensure_workers();
+    stage_wake(workers_[0], v, round_);
+  }
 
   /// Drop the first round's every-node default: round 0 then steps only
   /// activate()d nodes (plus receivers — vacuous in round 0).
@@ -383,32 +411,22 @@ class SyncNetwork {
     const std::uint64_t this_round = round_;
     const std::uint64_t t_round = tel ? telemetry::now_ns() : 0;
 
-    build_inboxes(tmetrics, ttrace);
+    const bool all = step_all_ || (round_ == 0 && !initial_restricted_);
+    build_inboxes(tmetrics, ttrace, all);
     delivered_last_round_ = dlv_key_.size();
 
-    const bool all = step_all_ || (round_ == 0 && !initial_restricted_);
-    if (all) {
-      for (PerWorker& w : workers_) w.wake.clear();
-      pending_activations_.clear();
-    } else {
-      active_.clear();
-      for (std::vector<NodeId>& sa : shard_active_) sa.clear();
-      for (const std::vector<NodeId>& rs : shard_receivers_) {
-        for (NodeId v : rs) mark_active(v);
+    // The shards' active sets, concatenated in shard order, are the
+    // step loop's index space: the loop walks node state and CSR rows
+    // one cache-sized shard at a time, and nothing flattens them.
+    std::size_t count = g.num_nodes();
+    if (!all) {
+      count = 0;
+      for (unsigned s = 0; s < plan_.count; ++s) {
+        active_off_[s] = count;
+        count += shard_active_[s].size();
       }
-      for (PerWorker& w : workers_) {
-        for (NodeId v : w.wake) mark_active(v);
-        w.wake.clear();
-      }
-      for (NodeId v : pending_activations_) mark_active(v);
-      pending_activations_.clear();
-      // Flatten in shard order: the step loop then walks node state and
-      // CSR rows one cache-sized shard at a time.
-      for (const std::vector<NodeId>& sa : shard_active_) {
-        active_.insert(active_.end(), sa.begin(), sa.end());
-      }
+      active_off_[plan_.count] = count;
     }
-    const std::size_t count = all ? g.num_nodes() : active_.size();
     stepped_last_round_ = count;
 
     const std::uint64_t t_step = tel ? telemetry::now_ns() : 0;
@@ -421,8 +439,18 @@ class SyncNetwork {
       Ctx ctx;
       ctx.net_ = this;
       ctx.worker_ = &pw;
+      // The last shard starting at or before `begin` holds index begin.
+      unsigned s = all ? 0
+                       : static_cast<unsigned>(
+                             std::upper_bound(active_off_.begin(),
+                                              active_off_.end(), begin) -
+                             active_off_.begin() - 1);
       for (std::size_t i = begin; i < end; ++i) {
-        const NodeId node = all ? static_cast<NodeId>(i) : active_[i];
+        NodeId node = static_cast<NodeId>(i);
+        if (!all) {
+          while (i >= active_off_[s + 1]) ++s;
+          node = shard_active_[s][i - active_off_[s]];
+        }
         ctx.id_ = node;
         ctx.rng_ready_ = false;
         ctx.inbox_ = inbox_of(node);
@@ -540,7 +568,6 @@ class SyncNetwork {
   void rebase_epochs() {
     for (ArcMeta& am : arc_meta_) am.stamp = kNeverEpoch;
     for (InboxMeta& im : inbox_meta_) im.stamp = kNeverEpoch;
-    std::fill(active_stamp_.begin(), active_stamp_.end(), kNeverEpoch);
     epoch_base_ = -static_cast<std::uint32_t>(round_);
   }
 
@@ -587,13 +614,18 @@ class SyncNetwork {
   /// tiebreak when fault injection lands two messages from one channel
   /// in one round) is populated only while message faults are active:
   /// fault-free inboxes never repeat a key, so the column would be dead
-  /// weight in the delivery sweeps. Cache-line aligned: shard-parallel
+  /// weight in the delivery sweeps. `wake[r % kMaxWakeDelay]` lists the
+  /// shard's nodes this worker woke (keep_active) or queued (activate;
+  /// worker 0 only) for round r: the slot of round r is drained when
+  /// round r assembles its active set, before any step can refill it
+  /// with round r + kMaxWakeDelay. Cache-line aligned: shard-parallel
   /// delivery clears neighbouring bins of one worker concurrently.
   struct alignas(64) Bin {
     std::vector<NodeId> to;
     std::vector<std::uint32_t> key;
     std::vector<std::uint32_t> seq;
     std::vector<M> msg;
+    std::vector<NodeId> wake[kMaxWakeDelay];
 
     std::size_t size() const noexcept { return to.size(); }
     void clear() noexcept {
@@ -609,7 +641,6 @@ class SyncNetwork {
   /// shard s's task alone touches bins[s] of every worker.
   struct alignas(64) PerWorker {
     std::vector<Bin> bins;  // one per destination shard
-    std::vector<NodeId> wake;
     NetStats stats;
     std::uint64_t busy_ns = 0;  // step-loop time this round (telemetry)
   };
@@ -619,13 +650,37 @@ class SyncNetwork {
     // step function was just iterating it, so it is cache-hot, and the
     // resulting channel index is local to the sender's shard.
     const GraphStore& s = graph_->store();
-    const std::uint64_t base = s.offsets[from];
     const std::uint64_t end = s.offsets[from + 1];
-    std::uint64_t arc = base;
+    std::uint64_t arc = s.offsets[from];
     while (arc < end && s.adj_edge[arc] != e) ++arc;
     if (arc == end) {
       throw std::logic_error("SyncNetwork::send: sender not an endpoint");
     }
+    enqueue_arc(arc, std::move(msg), w);
+  }
+
+  void enqueue_slot(NodeId from, std::uint32_t i, M msg, PerWorker& w) {
+    const GraphStore& s = graph_->store();
+    const std::uint64_t arc = s.offsets[from] + i;
+    if (arc >= s.offsets[from + 1]) {
+      throw std::logic_error("SyncNetwork::send_slot: slot past the degree");
+    }
+    enqueue_arc(arc, std::move(msg), w);
+  }
+
+  /// send_all: one pass over the sender's row, no per-edge arc lookup.
+  void enqueue_all(NodeId from, const M& msg, PerWorker& w) {
+    const GraphStore& s = graph_->store();
+    const std::uint64_t end = s.offsets[from + 1];
+    for (std::uint64_t arc = s.offsets[from]; arc < end; ++arc) {
+      enqueue_arc(arc, msg, w);
+    }
+  }
+
+  /// Send on the channel of CSR arc `arc`: stamp it (rejecting a second
+  /// send this round), meter the message, and stage it in w's bin for
+  /// the receiver's shard.
+  void enqueue_arc(std::uint64_t arc, M msg, PerWorker& w) {
     ArcMeta& am = arc_meta_[arc];
     if (am.stamp == epoch()) {
       throw std::logic_error(
@@ -633,33 +688,17 @@ class SyncNetwork {
     }
     am.stamp = epoch();
     w.stats.note_message(meter_(msg));
-    stage(w, s.adj_to[arc], am.slot, std::move(msg));
-  }
-
-  /// send_all: one pass over the sender's row, no per-edge arc lookup.
-  void enqueue_all(NodeId from, const M& msg, PerWorker& w) {
-    const GraphStore& s = graph_->store();
-    const std::uint64_t base = s.offsets[from];
-    const std::uint64_t end = s.offsets[from + 1];
-    for (std::uint64_t arc = base; arc < end; ++arc) {
-      ArcMeta& am = arc_meta_[arc];
-      if (am.stamp == epoch()) {
-        throw std::logic_error(
-            "SyncNetwork::send: two messages on one channel in one round");
-      }
-      am.stamp = epoch();
-      w.stats.note_message(meter_(msg));
-      stage(w, s.adj_to[arc], am.slot, msg);
-    }
-  }
-
-  /// Append one resolved send to w's bin for the receiver's shard.
-  void stage(PerWorker& w, NodeId to, std::uint32_t key, M msg) {
+    const NodeId to = graph_->store().adj_to[arc];
     Bin& b = w.bins[plan_.shard_of(to)];
     b.to.push_back(to);
-    b.key.push_back(key);
+    b.key.push_back(am.slot);
     if (seq_on_) b.seq.push_back(static_cast<std::uint32_t>(round_));
     b.msg.push_back(std::move(msg));
+  }
+
+  /// Stage v's wake for round `due` in w's bin for v's shard.
+  void stage_wake(PerWorker& w, NodeId v, std::uint64_t due) {
+    w.bins[plan_.shard_of(v)].wake[due % kMaxWakeDelay].push_back(v);
   }
 
   void ensure_workers() {
@@ -669,13 +708,6 @@ class SyncNetwork {
     if (workers_.size() < want) {
       workers_.resize(want);
       for (PerWorker& w : workers_) w.bins.resize(plan_.count);
-    }
-  }
-
-  void mark_active(NodeId v) {
-    if (active_stamp_[v] != epoch()) {
-      active_stamp_[v] = epoch();
-      shard_active_[plan_.shard_of(v)].push_back(v);
     }
   }
 
@@ -843,8 +875,12 @@ class SyncNetwork {
   /// Per message the sweep moves {to, key[, seq]} plus the payload and
   /// nothing else. O(messages + W×S). Shard tasks touch disjoint bins
   /// and disjoint slices, so the per-shard work runs shard-parallel
-  /// under a pool.
-  void build_inboxes(bool tmetrics, bool ttrace) {
+  /// under a pool. The same task assembles the shard's active set
+  /// (collect_active) before laying out its inboxes, so the inboxes sit
+  /// in the order the step loop visits them; a round with nothing to
+  /// deliver assembles the active sets serially instead of paying a
+  /// pool dispatch for wakes alone.
+  void build_inboxes(bool tmetrics, bool ttrace, bool all) {
     const bool tel = tmetrics || ttrace;
     telemetry::Tracer& tracer = telemetry::Tracer::global();
     telemetry::EventLog& elog = telemetry::EventLog::global();
@@ -859,10 +895,7 @@ class SyncNetwork {
     dlv_key_.clear();
     dlv_seq_.clear();
     dlv_msg_.clear();
-    if (shard_receivers_.size() != plan_.count) {
-      shard_receivers_.assign(plan_.count, {});
-    }
-    for (std::vector<NodeId>& rs : shard_receivers_) rs.clear();
+    for (std::vector<NodeId>& sa : shard_active_) sa.clear();
 
     // Phase 1: shard s's slice starts after every bin of shards < s.
     const std::uint64_t t_p1 = tel ? telemetry::now_ns() : 0;
@@ -874,7 +907,10 @@ class SyncNetwork {
       for (const PerWorker& w : workers_) total += w.bins[s].size();
     }
     shard_off_[num_shards] = total;
-    if (total == 0) return;
+    if (total == 0) {
+      for (unsigned s = 0; s < num_shards; ++s) collect_active(s, all);
+      return;
+    }
     const std::uint64_t t_p1_end = tel ? telemetry::now_ns() : 0;
     if (tmetrics) {
       telemetry::EngineMetrics::get().exchange_p1_ns.record(t_p1_end - t_p1);
@@ -899,23 +935,32 @@ class SyncNetwork {
     auto build_shard = [&](unsigned s) {
       const std::size_t sb = shard_off_[s];
       const std::size_t se = shard_off_[s + 1];
-      if (sb == se) return;
+      if (sb == se) {
+        collect_active(s, all);
+        return;
+      }
       const std::uint64_t t_s0 = tel ? telemetry::now_ns() : 0;
-      std::vector<NodeId>& recv = shard_receivers_[s];
+      // Receivers enter the shard's active set first; then collect_active
+      // adds the due wakes and orders the set.
+      std::vector<NodeId>& act = shard_active_[s];
       for (const PerWorker& w : workers_) {
         for (const NodeId to : w.bins[s].to) {
           InboxMeta& im = inbox_meta_[to];
           if (im.stamp != tag) {
             im.stamp = tag;
             im.cnt = 0;
-            recv.push_back(to);
+            mark_active(act, to);
           }
           ++im.cnt;
         }
       }
+      collect_active(s, all);
+      // Each receiver's inbox range, laid out in active-set order (woken
+      // members without mail carry a stale stamp and are skipped).
       std::uint32_t off = static_cast<std::uint32_t>(sb);
-      for (NodeId r : recv) {
-        InboxMeta& im = inbox_meta_[r];
+      for (const NodeId v : act) {
+        InboxMeta& im = inbox_meta_[v];
+        if (im.stamp != tag) continue;
         im.off = off;
         im.cur = off;
         off += im.cnt;
@@ -931,16 +976,17 @@ class SyncNetwork {
         b.clear();
       }
       const std::uint64_t t_s1 = tel ? telemetry::now_ns() : 0;
-      for (NodeId r : recv) {
-        sort_inbox(inbox_meta_[r].off, inbox_meta_[r].cnt, with_seq);
+      for (const NodeId v : act) {
+        const InboxMeta& im = inbox_meta_[v];
+        if (im.stamp == tag) sort_inbox(im.off, im.cnt, with_seq);
       }
       if (faults_ != nullptr && faults_->reorder()) {
         // Deterministic per-(receiver, round) Fisher-Yates over the
         // sorted inbox: the permutation depends on neither thread nor
         // shard assignment, so perturbed executions stay reproducible.
-        for (NodeId r : recv) {
+        for (const NodeId r : act) {
           const std::uint32_t cnt = inbox_meta_[r].cnt;
-          if (cnt < 2) continue;
+          if (inbox_meta_[r].stamp != tag || cnt < 2) continue;
           Rng rr = faults_->reorder_rng(r, round_);
           const std::size_t base = inbox_meta_[r].off;
           for (std::uint32_t i = cnt; i > 1; --i) {
@@ -992,6 +1038,51 @@ class SyncNetwork {
     // the delivery columns directly.
   }
 
+  /// Add v to a shard's active set unless its bit says it is listed.
+  void mark_active(std::vector<NodeId>& act, NodeId v) {
+    std::uint64_t& word = active_bits_[v >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+    if ((word & bit) == 0) {
+      word |= bit;
+      act.push_back(v);
+    }
+  }
+
+  /// Complete shard s's active set, which holds its receivers: drain
+  /// every worker's wake slot of this round for the shard, adding the
+  /// woken nodes unless the round steps every node, then clear the
+  /// shard's bits. A set with at least one member per 64 ids is rebuilt
+  /// from the bits in ascending id order, so the step loop walks node
+  /// state, CSR rows and inboxes forward; a sparser one keeps arrival
+  /// order, so the pass stays O(members). Touches only shard s's bins
+  /// and vertex range.
+  void collect_active(unsigned s, bool all) {
+    std::vector<NodeId>& act = shard_active_[s];
+    for (PerWorker& w : workers_) {
+      std::vector<NodeId>& due = w.bins[s].wake[round_ % kMaxWakeDelay];
+      if (!all) {
+        for (const NodeId v : due) mark_active(act, v);
+      }
+      due.clear();
+    }
+    const std::size_t wb = plan_.shard_begin(s) >> 6;
+    const std::size_t we = (std::size_t{plan_.shard_end(s)} + 63) >> 6;
+    if (act.size() < we - wb) {
+      for (const NodeId v : act) {
+        active_bits_[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
+      }
+      return;
+    }
+    act.clear();
+    for (std::size_t i = wb; i < we; ++i) {
+      for (std::uint64_t word = active_bits_[i]; word != 0;
+           word &= word - 1) {
+        act.push_back(static_cast<NodeId>((i << 6) + std::countr_zero(word)));
+      }
+      active_bits_[i] = 0;
+    }
+  }
+
   InboxView inbox_of(NodeId v) const {
     const InboxMeta& im = inbox_meta_[v];
     if (dlv_key_.empty() || im.stamp != epoch()) return {};
@@ -1019,15 +1110,14 @@ class SyncNetwork {
   std::vector<std::uint32_t> dlv_key_;
   std::vector<std::uint32_t> dlv_seq_;
   std::vector<M> dlv_msg_;
-  std::vector<std::vector<NodeId>> shard_receivers_;
   std::vector<std::size_t> shard_off_;  // shards+1
   std::vector<InboxMeta> inbox_meta_;   // n
 
-  // Active-set scheduling state, bucketed per shard.
-  std::vector<NodeId> active_;
-  std::vector<std::uint32_t> active_stamp_;  // n
-  std::vector<NodeId> pending_activations_;
+  // Active-set scheduling state: each shard's active set (receivers,
+  // woken and activated nodes); active_off_ is their sizes' prefix sum.
   std::vector<std::vector<NodeId>> shard_active_;
+  std::vector<std::size_t> active_off_;      // shards+1
+  std::vector<std::uint64_t> active_bits_;   // n bits: listed this round
   bool step_all_ = false;
   bool initial_restricted_ = false;
 

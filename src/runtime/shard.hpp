@@ -2,7 +2,7 @@
 //
 // A shard is a contiguous, power-of-two-aligned range of vertex ids, so
 // shard lookup is a single shift and a shard's slices of every
-// vertex-indexed array (CSR rows, mailbox bookkeeping, active stamps,
+// vertex-indexed array (CSR rows, mailbox bookkeeping, active-set bits,
 // per-node solver state) are contiguous byte ranges. The auto plan
 // sizes shards so one shard's engine working set fits comfortably in
 // the detected L2 cache: the per-round mailbox counting sort and the
@@ -37,7 +37,7 @@ const CacheInfo& detect_cache();
 CacheInfo detect_cache_at(const std::string& cache_dir);
 
 /// Bytes of engine + typical solver state touched per vertex per round;
-/// used by the auto plan. Mailbox bookkeeping (~24B) + active stamp +
+/// used by the auto plan. Mailbox bookkeeping (~24B) + active-set bit +
 /// CSR offsets + a few adjacency entries.
 inline constexpr std::size_t kEngineBytesPerVertex = 64;
 

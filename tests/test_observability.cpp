@@ -64,7 +64,9 @@ TEST(EventVocabulary, NamesAreClosedAndUnique) {
     // a named one (the JSONL writer stops naming at the first gap).
     const auto args = tel::event_arg_names(kind);
     for (int i = 1; i < 3; ++i) {
-      if (args[i] != nullptr) EXPECT_NE(args[i - 1], nullptr) << name;
+      if (args[i] != nullptr) {
+        EXPECT_NE(args[i - 1], nullptr) << name;
+      }
     }
   }
   EXPECT_EQ(names.size(), tel::kEventKinds);

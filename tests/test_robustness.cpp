@@ -260,18 +260,25 @@ TEST(Robustness, LubyIndifferentToDeliveryOrder) {
 TEST(Robustness, ReorderedInboxesStayBitIdenticalAcrossThreads) {
   // The shuffle derives from (receiver, round), not from which worker
   // or shard sorts the inbox — so even the *perturbed* execution is
-  // reproducible across thread counts.
+  // reproducible across thread counts. Shards are at least 1024
+  // vertices wide, so only the n = 4096 leg runs four shards, whose
+  // delivery tasks shuffle their inboxes in parallel.
   Rng rng(47);
-  const Graph g = erdos_renyi(512, 8.0 / 512.0, rng);
-  IsraeliItaiOptions opts;
-  opts.seed = 3;
-  opts.faults = "reorder";
-  const DistMatchingResult inline_run = israeli_itai(g, opts);
-  ThreadPool pool(4);
-  opts.exec = {.pool = &pool, .shards = 4};
-  const DistMatchingResult pooled_run = israeli_itai(g, opts);
-  EXPECT_EQ(inline_run.matching.edge_ids(g), pooled_run.matching.edge_ids(g));
-  EXPECT_EQ(inline_run.stats.messages, pooled_run.stats.messages);
+  for (const NodeId n : {NodeId{512}, NodeId{4096}}) {
+    SCOPED_TRACE(testing::Message() << "n " << n);
+    const Graph g = erdos_renyi(n, 8.0 / n, rng);
+    IsraeliItaiOptions opts;
+    opts.seed = 3;
+    opts.faults = "reorder";
+    const DistMatchingResult inline_run = israeli_itai(g, opts);
+    ThreadPool pool(4);
+    opts.exec = {.pool = &pool, .shards = 4};
+    const DistMatchingResult pooled_run = israeli_itai(g, opts);
+    EXPECT_EQ(inline_run.matching.edge_ids(g),
+              pooled_run.matching.edge_ids(g));
+    EXPECT_EQ(inline_run.stats.messages, pooled_run.stats.messages);
+  }
+  EXPECT_EQ(plan_shards(4096, 4).count, 4u);
 }
 
 // ----------------------------------------- seed-sensitivity sweeps -----

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <sstream>
 #include <tuple>
 
 #include "core/israeli_itai.hpp"
@@ -14,6 +15,8 @@
 #include "graph/generators.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/thread_pool.hpp"
+#include "telemetry/telemetry.hpp"
+#include "telemetry/trace_reader.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
@@ -333,6 +336,65 @@ TEST(SyncNetwork, StepAllNodesRestoresFullSweep) {
   EXPECT_EQ(net.last_round_stepped(), 6u);
 }
 
+TEST(SyncNetwork, KeepActiveForKRounds) {
+  // keep_active(k) wakes the caller k rounds later and not in between;
+  // reset() drops wakes still due; under step_all_nodes() the call is a
+  // no-op; k outside [1, kMaxWakeDelay] throws.
+  using Net = SyncNetwork<IntMsg>;
+  Graph g = path_graph(6);
+  std::vector<int> steps(6, 0);
+  auto wake_2_in = [&](unsigned k) {
+    return [&steps, k](Net::Ctx& ctx) {
+      ++steps[ctx.id()];
+      if (ctx.round() == 0 && ctx.id() == 2) ctx.keep_active(k);
+    };
+  };
+  for (const unsigned k : {1u, 3u, Net::kMaxWakeDelay}) {
+    SCOPED_TRACE(testing::Message() << "k " << k);
+    Net net(g, 1);
+    net.restrict_initial_active();
+    net.activate(2);
+    std::fill(steps.begin(), steps.end(), 0);
+    for (unsigned r = 0; r <= Net::kMaxWakeDelay + 1; ++r) {
+      net.run_round(wake_2_in(k));
+      EXPECT_EQ(net.last_round_stepped(), r == 0 || r == k ? 1u : 0u)
+          << "round " << r;
+    }
+    EXPECT_EQ(steps, (std::vector<int>{0, 0, 2, 0, 0, 0}));
+  }
+
+  // A wake still due when reset() runs is dropped.
+  Net reused(g, 1);
+  reused.restrict_initial_active();
+  reused.activate(2);
+  reused.run_round(wake_2_in(3));
+  reused.reset(1);
+  reused.restrict_initial_active();
+  for (int r = 0; r < 5; ++r) {
+    reused.run_round([](Net::Ctx&) {});
+    EXPECT_EQ(reused.last_round_stepped(), 0u) << "round " << r;
+  }
+
+  // Under step_all_nodes() nothing is staged: once the network returns
+  // to active-set scheduling, the wake asked for in round 0 is absent.
+  Net all(g, 1);
+  all.step_all_nodes();
+  all.run_round(wake_2_in(3));
+  EXPECT_EQ(all.last_round_stepped(), 6u);
+  all.step_all_nodes(false);
+  for (int r = 1; r < 5; ++r) {
+    all.run_round([](Net::Ctx&) {});
+    EXPECT_EQ(all.last_round_stepped(), 0u) << "round " << r;
+  }
+
+  for (const unsigned bad : {0u, Net::kMaxWakeDelay + 1}) {
+    Net net(g, 1);
+    EXPECT_THROW(net.run_round([bad](Net::Ctx& ctx) { ctx.keep_active(bad); }),
+                 std::logic_error)
+        << "k " << bad;
+  }
+}
+
 void expect_same_run(const Graph& g, const DistMatchingResult& a,
                      const DistMatchingResult& b) {
   EXPECT_EQ(a.converged, b.converged);
@@ -370,27 +432,70 @@ Matching partial_matching(const Graph& g) {
 }
 
 TEST(SyncNetwork, ActiveSetMatchesStepAllOnIsraeliItai) {
-  // The migrated israeli_itai keeps every node alive that could act
-  // spontaneously, so active-set scheduling must reproduce the
+  // israeli_itai wakes every node for every round in which it could act
+  // without mail, so active-set scheduling must reproduce the
   // step-everything execution bit for bit: same matching, same rounds,
   // same message/bit meters. A subgraph run also restricts round 0 to
   // the active edges' endpoints; that must not change the execution
-  // either, with or without an initial matching.
-  Rng rng(21);
-  const Graph g = erdos_renyi(400, 8.0 / 400, rng);
-  IsraeliItaiOptions whole;
-  whole.seed = 5;
-  IsraeliItaiOptions masked = whole;
-  masked.active_edges = sparse_mask(g, 77);
-  IsraeliItaiOptions masked_from_initial = masked;
-  masked_from_initial.initial = partial_matching(g);
-  ASSERT_GT(masked_from_initial.initial->size(), 0u);
-  for (const IsraeliItaiOptions& active :
-       {whole, masked, masked_from_initial}) {
-    IsraeliItaiOptions all = active;
-    all.step_all_nodes = true;
-    expect_same_run(g, israeli_itai(g, active), israeli_itai(g, all));
+  // either, with or without an initial matching. The 4096-vertex leg
+  // runs on a 2-thread pool over several shards, where each shard's
+  // active set is assembled by its own delivery task.
+  ThreadPool pool(2);
+  ASSERT_GE(plan_shards(4096, 4).count, 2u);
+  const ExecContext sequential;
+  const ExecContext sharded{.pool = &pool, .shards = 4};
+  for (const NodeId n : {NodeId{400}, NodeId{4096}}) {
+    SCOPED_TRACE(testing::Message() << "n " << n);
+    Rng rng(21);
+    const Graph g = erdos_renyi(n, 8.0 / n, rng);
+    IsraeliItaiOptions whole;
+    whole.seed = 5;
+    whole.exec = n == 400 ? sequential : sharded;
+    IsraeliItaiOptions masked = whole;
+    masked.active_edges = sparse_mask(g, 77);
+    IsraeliItaiOptions masked_from_initial = masked;
+    masked_from_initial.initial = partial_matching(g);
+    ASSERT_GT(masked_from_initial.initial->size(), 0u);
+    for (const IsraeliItaiOptions& active :
+         {whole, masked, masked_from_initial}) {
+      IsraeliItaiOptions all = active;
+      all.step_all_nodes = true;
+      expect_same_run(g, israeli_itai(g, active), israeli_itai(g, all));
+    }
   }
+}
+
+TEST(IsraeliItai, StepsOnlyNodesThatCanAct) {
+  // The work the active set saves, as a count that repeats exactly: the
+  // nodes stepped over a whole solve on a fixed instance (the sum of the
+  // engine.step spans' `stepped` argument). Stages 1 and 2 step only
+  // receivers, and a free node with a candidate sleeps from one stage 0
+  // to the next. Stepping every free node in every stage took 31,523.
+  Rng rng(61);
+  const Graph g = erdos_renyi(4096, 4.0 / 4096, rng);
+  IsraeliItaiOptions opts;
+  opts.seed = 3;
+  telemetry::Tracer& tracer = telemetry::Tracer::global();
+  tracer.reset();
+  tracer.set_recording(true);
+  const DistMatchingResult run = israeli_itai(g, opts);
+  tracer.set_recording(false);
+  std::ostringstream os;
+  tracer.write_chrome_trace(os);
+  tracer.reset();
+  telemetry::TraceDoc doc;
+  std::string error;
+  ASSERT_TRUE(telemetry::load_chrome_trace(os.str(), doc, &error)) << error;
+  std::uint64_t rounds = 0;
+  double stepped = 0;
+  for (const telemetry::TraceSpan& s : doc.spans) {
+    if (s.name != "engine.step") continue;
+    ++rounds;
+    stepped += s.args.at("stepped");
+  }
+  EXPECT_TRUE(run.converged);
+  EXPECT_EQ(rounds, run.stats.rounds);
+  EXPECT_EQ(static_cast<std::uint64_t>(stepped), 23589u);
 }
 
 TEST(IsraeliItai, InitialMatchingEqualsMaskingItsVertices) {
@@ -573,6 +678,59 @@ void expect_same_stats(const NetStats& a, const NetStats& b) {
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.total_bits, b.total_bits);
   EXPECT_EQ(a.max_message_bits, b.max_message_bits);
+}
+
+TEST(SyncNetwork, SendSlotEqualsSendByEdge) {
+  // Sending on incidence i is sending on edge neighbors(v)[i].edge: the
+  // same inboxes (sender, edge, slot, payload) and the same meters. A
+  // second send on one channel still throws, whichever way either send
+  // names it, and a slot past the degree throws.
+  using Net = SyncNetwork<IntMsg>;
+  Rng rng(53);
+  const Graph g = erdos_renyi(3000, 6.0 / 3000, rng);
+  ThreadPool pool(2);
+  auto run = [&](bool by_slot) {
+    Net net(g, 9, {}, {.pool = &pool, .shards = 2});
+    std::vector<std::vector<Record>> log(g.num_nodes());
+    auto step = [&](Net::Ctx& ctx) {
+      const NodeId v = ctx.id();
+      for (const auto& in : ctx.inbox()) {
+        log[v].emplace_back(ctx.round(), v, in.from, in.edge, in.slot,
+                            in.payload->value);
+      }
+      const int draw = static_cast<int>(ctx.rng().below(1000));
+      const auto nbrs = ctx.graph().neighbors(v);
+      for (std::uint32_t i = 0; i < nbrs.size(); ++i) {
+        if ((draw + nbrs[i].to) % 3 != 0) continue;
+        if (by_slot) {
+          ctx.send_slot(i, IntMsg{draw});
+        } else {
+          ctx.send(nbrs[i].edge, IntMsg{draw});
+        }
+      }
+    };
+    for (int r = 0; r < 6; ++r) net.run_round(step);
+    return std::make_pair(log, net.stats());
+  };
+  const auto [by_edge, edge_stats] = run(false);
+  const auto [by_slot, slot_stats] = run(true);
+  EXPECT_EQ(by_slot, by_edge);
+  expect_same_stats(slot_stats, edge_stats);
+  EXPECT_GT(slot_stats.messages, 0u);
+
+  const Graph p = path_graph(3);  // node 1: slot 0 -> 0, slot 1 -> 2
+  Net net(p, 1);
+  net.run_round([](Net::Ctx& ctx) {
+    if (ctx.id() != 1) return;
+    ctx.send_slot(1, IntMsg{1});
+    EXPECT_THROW(ctx.send_slot(1, IntMsg{2}), std::logic_error);
+    EXPECT_THROW(ctx.send(ctx.graph().find_edge(1, 2), IntMsg{3}),
+                 std::logic_error);
+    ctx.send(ctx.graph().find_edge(1, 0), IntMsg{4});
+    EXPECT_THROW(ctx.send_slot(0, IntMsg{5}), std::logic_error);
+    EXPECT_THROW(ctx.send_slot(2, IntMsg{6}), std::logic_error);
+  });
+  EXPECT_EQ(net.stats().messages, 2u);
 }
 
 TEST(SyncNetwork, ResetEqualsFreshNetwork) {
