@@ -2,59 +2,93 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "runtime/engine.hpp"
-#include "runtime/simd.hpp"
 
 namespace lps {
 
-std::vector<double> gain_weights(const WeightedGraph& wg, const Matching& m,
-                                 NetStats* stats, const ExecContext& exec) {
-  const Graph& g = wg.graph;
-  std::vector<double> gains(g.num_edges(), 0.0);
+namespace {
 
-  if (stats != nullptr) {
-    // One synchronous round: matched nodes announce w(v, M(v)). Round 0
-    // steps everyone (the default initial activation); the delivery
-    // round is message-driven, so only receivers are stepped.
-    struct WeightMsg {
-      double w;
-    };
-    struct WeightBits {
-      std::uint64_t operator()(const WeightMsg&) const noexcept { return 64; }
-    };
-    using WeightNet = SyncNetwork<WeightMsg, WeightBits>;
-    WeightNet net(g, 0, WeightBits{}, exec);
-    auto step = [&](WeightNet::Ctx& ctx) {
-      const NodeId v = ctx.id();
-      if (ctx.round() == 0 && !m.is_free(v)) {
-        ctx.send_all(WeightMsg{wg.weight(m.matched_edge(v))});
-      }
-    };
-    net.run_round(step);
-    net.run_round(step);  // delivery round (receivers compute locally)
-    stats->merge(net.stats());
-  }
+/// A matched node's announcement. The weight it stands for travels by
+/// reference (GainRunner::announced_), so the message itself is empty;
+/// the meter still charges the 64-bit weight a real network would carry.
+struct Announce {};
 
-  // Columnar evaluation of w_M(e) = w(e) - w(u, M(u)) - w(v, M(v)):
-  // gather-subtract over the store's endpoint columns against a
-  // per-node mate-weight column. Free vertices contribute a literal
-  // +0.0, an exact IEEE identity under subtraction, so the column needs
-  // no mask and the result is bit-identical to the branching form
-  // (operands are subtracted in the same u-then-v order).
-  const GraphStore& s = g.store();
-  std::vector<double> mate_w(g.num_nodes(), 0.0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!m.is_free(v)) mate_w[v] = wg.weight(m.matched_edge(v));
+struct AnnounceBits {
+  std::uint64_t operator()(const Announce&) const noexcept { return 64; }
+};
+
+using GainNet = SyncNetwork<Announce, AnnounceBits>;
+
+/// Reject a matching that does not belong to g's vertex set: reading it
+/// with g's ids would run out of bounds.
+void require_matching_of(const Graph& g, const Matching& m, const char* who) {
+  if (m.num_nodes() != g.num_nodes()) {
+    throw std::invalid_argument(std::string(who) +
+                                ": matching sized for another graph");
   }
-  simd::sub2_gather_f64(wg.weights.data(), mate_w.data(), s.edge_u.data(),
-                        s.edge_v.data(), gains.data(), g.num_edges());
-  // Matched edges carry zero gain by definition.
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const EdgeId e = m.matched_edge(v);
-    if (e != kInvalidEdge) gains[e] = 0.0;
+    if (e == kInvalidEdge) continue;
+    if (e >= g.num_edges() || (g.edge(e).u != v && g.edge(e).v != v)) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": matched edge not incident in the graph");
+    }
   }
+}
+
+}  // namespace
+
+struct GainRunner::Net : GainNet {
+  using GainNet::GainNet;
+};
+
+GainRunner::GainRunner(const WeightedGraph& wg, const ExecContext& exec)
+    : wg_(&wg),
+      net_(std::make_unique<Net>(wg.graph, /*seed=*/0, AnnounceBits{}, exec)),
+      announced_(wg.graph.num_nodes(), 0.0) {}
+
+GainRunner::~GainRunner() = default;
+
+std::vector<double> GainRunner::run(const Matching& m, NetStats* stats) {
+  const WeightedGraph& wg = *wg_;
+  require_matching_of(wg.graph, m, "gain_weights");
+  // Edges no message reaches (both endpoints free) keep w(e).
+  std::vector<double> gains = wg.weights;
+  double* const announced = announced_.data();
+
+  GainNet& net = *net_;
+  net.reset(/*seed=*/0);
+  // Round 0 steps every node; round 1 steps only receivers.
+  auto step = [&](GainNet::Ctx& ctx) {
+    const NodeId v = ctx.id();
+    const EdgeId mine = m.matched_edge(v);
+    if (ctx.round() == 0) {
+      announced[v] = mine == kInvalidEdge ? 0.0 : wg.weight(mine);
+      if (mine != kInvalidEdge) ctx.send_all(Announce{});
+      return;
+    }
+    // Every sender is matched. A free receiver writes the edge; a
+    // matched one writes only when it has the smaller id.
+    for (const auto in : ctx.inbox()) {
+      const NodeId u = in.from;
+      if (mine != kInvalidEdge && u < v) continue;
+      const EdgeId e = in.edge;
+      gains[e] = e == mine ? 0.0
+                           : wg.weight(e) - announced[std::min(u, v)] -
+                                 announced[std::max(u, v)];
+    }
+  };
+  net.run_round(step);  // announce
+  net.run_round(step);  // receivers compute w_M
+  if (stats != nullptr) stats->merge(net.stats());
   return gains;
+}
+
+std::vector<double> gain_weights(const WeightedGraph& wg, const Matching& m,
+                                 NetStats* stats, const ExecContext& exec) {
+  return GainRunner(wg, exec).run(m, stats);
 }
 
 std::vector<EdgeId> wrap_edges(const Graph& g, const Matching& m, EdgeId e) {
@@ -71,6 +105,7 @@ std::vector<EdgeId> wrap_edges(const Graph& g, const Matching& m, EdgeId e) {
 
 void apply_wraps(const Graph& g, Matching& m,
                  const std::vector<EdgeId>& m_prime) {
+  require_matching_of(g, m, "apply_wraps");
   if (!is_valid_matching(g, m_prime)) {
     throw std::invalid_argument("apply_wraps: m_prime is not a matching");
   }

@@ -58,11 +58,12 @@ WeightedMwmResult weighted_mwm(const WeightedGraph& wg,
 
   WeightedMwmResult result;
   result.matching = Matching(g.num_nodes());
+  // One exchange network on G for the whole solve, reset per iteration.
+  GainRunner gain_runner(wg, opts.exec);
 
   for (std::uint64_t iter = 0; iter < iterations; ++iter) {
     // Line 3: G' = (V, E, w_M). One exchange round, accounted.
-    std::vector<double> gains =
-        gain_weights(wg, result.matching, &result.stats, opts.exec);
+    std::vector<double> gains = gain_runner.run(result.matching, &result.stats);
 
     // Restrict to positive-gain edges: a maximum-weight matching never
     // gains from edges with w_M <= 0, and the class black box requires

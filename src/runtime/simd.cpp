@@ -57,13 +57,4 @@ std::size_t argmax_masked_f64(const double* w, const std::uint32_t* id,
   return best;
 }
 
-void sub2_gather_f64(const double* w, const double* __restrict sub,
-                     const std::uint32_t* __restrict eu,
-                     const std::uint32_t* __restrict ev, double* out,
-                     std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = w[i] - sub[eu[i]] - sub[ev[i]];
-  }
-}
-
 }  // namespace lps::simd

@@ -10,10 +10,9 @@
 // not depend on how the compiler vectorizes it. OR and integer
 // reductions and per-element compares are order-independent; the
 // argmax reduces under a strict total order (weight desc, id asc —
-// callers must pass distinct ids and non-NaN weights); the gather does
-// per-element IEEE subtractions with no contractible multiply-add.
-// Order-dependent floating-point reductions (sums, dot products) stay
-// out of this header.
+// callers must pass distinct ids and non-NaN weights). Order-dependent
+// floating-point reductions (sums, dot products) stay out of this
+// header.
 #pragma once
 
 #include <cstddef>
@@ -44,12 +43,5 @@ std::size_t mask_positive_f64(const double* x, std::size_t n,
 /// strict total order and the winner is unique.
 std::size_t argmax_masked_f64(const double* w, const std::uint32_t* id,
                               const std::uint8_t* alive, std::size_t n);
-
-/// out[i] = w[i] - sub[eu[i]] - sub[ev[i]], exact per-element IEEE
-/// subtraction (no reassociation). Indices must be in-bounds for `sub`;
-/// `out` may alias `w` but not `sub`, `eu` or `ev`.
-void sub2_gather_f64(const double* w, const double* sub,
-                     const std::uint32_t* eu, const std::uint32_t* ev,
-                     double* out, std::size_t n);
 
 }  // namespace lps::simd

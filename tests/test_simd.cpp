@@ -162,37 +162,5 @@ TEST(SimdTest, ArgmaxMatchesReference) {
   }
 }
 
-TEST(SimdTest, Sub2GatherBitIdentical) {
-  Rng rng(123);
-  const std::size_t table = 97;
-  std::vector<double> sub(table);
-  for (auto& d : sub) d = rng.uniform01() * 10.0 - 5.0;
-  sub[0] = 0.0;  // the "free vertex" identity operand
-  for (const std::size_t n : kLengths) {
-    std::vector<double> w(n + 2);
-    std::vector<std::uint32_t> eu(n + 2);
-    std::vector<std::uint32_t> ev(n + 2);
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      w[i] = rng.uniform01() * 100.0;
-      eu[i] = static_cast<std::uint32_t>(rng.below(table));
-      ev[i] = static_cast<std::uint32_t>(rng.below(table));
-    }
-    for (std::size_t shift = 0; shift < 2; ++shift) {
-      std::vector<double> ref(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ref[i] = w[shift + i] - sub[eu[shift + i]] - sub[ev[shift + i]];
-      }
-      std::vector<double> out(n + 1, -777.0);
-      simd::sub2_gather_f64(w.data() + shift, sub.data(), eu.data() + shift,
-                            ev.data() + shift, out.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        // Bit comparison, not tolerance: the contract is exactness.
-        ASSERT_EQ(out[i], ref[i]) << "n=" << n << " i=" << i;
-      }
-      EXPECT_EQ(out[n], -777.0) << "n=" << n << " (overwrote past end)";
-    }
-  }
-}
-
 }  // namespace
 }  // namespace lps

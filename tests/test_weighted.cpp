@@ -3,8 +3,10 @@
 // Algorithm 5 (Theorem 4.5).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "core/class_mwm.hpp"
@@ -12,6 +14,7 @@
 #include "core/weighted_mwm.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
+#include "runtime/thread_pool.hpp"
 #include "seq/exact_small.hpp"
 #include "seq/greedy.hpp"
 #include "tests/helpers.hpp"
@@ -125,6 +128,84 @@ TEST(Gain, ApplyWrapsRejectsNonMatchingInput) {
   Matching m = fig.m;
   // ab and bc share vertex b... bc is matched; use ab twice instead.
   EXPECT_THROW(apply_wraps(g, m, {0, 0}), std::invalid_argument);
+}
+
+TEST(Gain, RejectsMatchingOfAnotherGraph) {
+  const auto fig = make_fig2();
+  const Graph& g = fig.wg.graph;
+  // Sized for a larger graph: g's ids would index past it otherwise.
+  const Graph big = path_graph(12);
+  Matching wrong_size(big.num_nodes());
+  wrong_size.add(big, big.find_edge(9, 10));
+  EXPECT_THROW(gain_weights(fig.wg, wrong_size), std::invalid_argument);
+  EXPECT_THROW(apply_wraps(g, wrong_size, {g.find_edge(0, 1)}),
+               std::invalid_argument);
+  // Same vertex count, but naming an edge id past g's edges.
+  const Graph other = path_graph(7);  // edges 0..5; g has edges 0..4
+  Matching wrong_edge(other.num_nodes());
+  wrong_edge.add(other, other.find_edge(5, 6));
+  ASSERT_GE(wrong_edge.matched_edge(5), g.num_edges());
+  EXPECT_THROW(gain_weights(fig.wg, wrong_edge), std::invalid_argument);
+  EXPECT_THROW(apply_wraps(g, wrong_edge, {g.find_edge(0, 1)}),
+               std::invalid_argument);
+}
+
+TEST(Gain, ReusedRunnerMatchesFreshCalls) {
+  // A matched edge, an edge whose endpoints are both matched elsewhere,
+  // an edge with one matched endpoint and an edge with none: the
+  // sequence below exercises each writer case.
+  Rng rng(41);
+  Graph g0 = erdos_renyi(4096, 6.0 / 4096, rng);
+  auto w = uniform_weights(g0.num_edges(), 1.0, 100.0, rng);
+  const WeightedGraph wg = make_weighted(std::move(g0), std::move(w));
+  const Graph& g = wg.graph;
+  const Matching greedy = greedy_mwm(wg);
+  Matching thinned = greedy;
+  const auto ids = greedy.edge_ids(g);
+  for (std::size_t i = 0; i < ids.size(); i += 3) thinned.remove(g, ids[i]);
+  const std::vector<Matching> sequence = {Matching(g.num_nodes()), greedy,
+                                          thinned, Matching(g.num_nodes())};
+
+  ThreadPool pool(4);
+  for (const unsigned shards : {1u, 4u}) {
+    GainRunner runner(wg, ExecContext{&pool, shards});
+    std::array<int, 4> cases{};  // edges by matched endpoints; 3 = matched
+    for (std::size_t k = 0; k < sequence.size(); ++k) {
+      const Matching& m = sequence[k];
+      NetStats reused_stats;
+      NetStats fresh_stats;
+      const std::vector<double> reused = runner.run(m, &reused_stats);
+      const std::vector<double> fresh = gain_weights(wg, m, &fresh_stats);
+      ASSERT_EQ(reused.size(), g.num_edges());
+      ASSERT_EQ(fresh.size(), g.num_edges());
+      EXPECT_EQ(std::memcmp(reused.data(), fresh.data(),
+                            reused.size() * sizeof(double)),
+                0)
+          << "shards=" << shards << " matching " << k;
+      EXPECT_EQ(reused_stats.rounds, fresh_stats.rounds);
+      EXPECT_EQ(reused_stats.messages, fresh_stats.messages);
+      EXPECT_EQ(reused_stats.total_bits, fresh_stats.total_bits);
+      EXPECT_EQ(reused_stats.max_message_bits, fresh_stats.max_message_bits);
+      EXPECT_EQ(reused_stats.rounds, 2u);
+
+      // Against the definition, operands subtracted in u < v order, and
+      // tally the writer cases.
+      auto mate_w = [&](NodeId v) {
+        return m.is_free(v) ? 0.0 : wg.weight(m.matched_edge(v));
+      };
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        const Edge& ed = g.edge(e);
+        const bool matched = m.contains(g, e);
+        const double want =
+            matched ? 0.0 : wg.weight(e) - mate_w(ed.u) - mate_w(ed.v);
+        ASSERT_EQ(std::memcmp(&reused[e], &want, sizeof(double)), 0)
+            << "edge " << e << " matching " << k;
+        const int busy = !m.is_free(ed.u) + !m.is_free(ed.v);
+        ++cases[matched ? 3 : busy];
+      }
+    }
+    for (int c = 0; c < 4; ++c) EXPECT_GT(cases[c], 0) << "case " << c;
+  }
 }
 
 // ------------------------------------------------------ class_mwm -----
