@@ -145,21 +145,20 @@ void MatchingSolver::validate(const Instance& instance,
 SolveResult MatchingSolver::solve(const Instance& instance,
                                   const SolverConfig& config) const {
   validate(instance, config);
-  telemetry::Tracer& tracer = telemetry::Tracer::global();
-  const bool ttrace = tracer.recording();
-  const std::uint64_t t0 = ttrace ? telemetry::now_ns() : 0;
+  const telemetry::Probe probe;
   const auto start = std::chrono::steady_clock::now();
   SolveResult result = run(instance, config);
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count();
-  if (ttrace) {
-    tracer.emit(tracer.intern("solve:" + name()), "api", t0,
-                telemetry::now_ns() - t0,
-                {{"n", static_cast<double>(instance.graph().num_nodes())},
-                 {"m", static_cast<double>(instance.graph().num_edges())},
-                 {"rounds", static_cast<double>(result.stats.rounds)}});
-  }
+  probe.end(nullptr,
+            probe.on(telemetry::kTrace)
+                ? telemetry::Tracer::global().intern("solve:" + name())
+                : nullptr,
+            "api",
+            {{"n", static_cast<double>(instance.graph().num_nodes())},
+             {"m", static_cast<double>(instance.graph().num_edges())},
+             {"rounds", static_cast<double>(result.stats.rounds)}});
   return result;
 }
 

@@ -239,13 +239,9 @@ DistMatchingResult IsraeliItaiRunner::run(const IsraeliItaiOptions& opts) {
       }
       if (perturbed.empty()) break;
       ++resyncs;
-      {
-        telemetry::EventLog& elog = telemetry::EventLog::global();
-        if (elog.recording()) {
-          elog.emit(telemetry::EventKind::kResync, net.round(), sweep,
-                    perturbed.size());
-        }
-      }
+      telemetry::EventLog::global().emit(telemetry::EventKind::kResync,
+                                         net.round(), sweep,
+                                         perturbed.size());
       for (const NodeId v : perturbed) {
         matched_edge[v] = kInvalidEdge;
         proposal_edge[v] = kInvalidEdge;

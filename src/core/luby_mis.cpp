@@ -91,11 +91,8 @@ std::uint32_t mis_resync(const Graph& g, std::vector<NodeState>& state,
     if (live.empty()) break;
     if (changed) {
       ++resyncs;
-      telemetry::EventLog& elog = telemetry::EventLog::global();
-      if (elog.recording()) {
-        elog.emit(telemetry::EventKind::kResync, net.round(), sweep,
-                  live.size());
-      }
+      telemetry::EventLog::global().emit(telemetry::EventKind::kResync,
+                                         net.round(), sweep, live.size());
     }
     for (const NodeId v : live) net.activate(v);
     run_burst();

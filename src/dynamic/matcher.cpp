@@ -58,8 +58,7 @@ void DynamicMatcher::unmatch(EdgeId e) {
 }
 
 void DynamicMatcher::apply(const Update& up) {
-  const bool tmetrics = telemetry::enabled();
-  const std::uint64_t t0 = tmetrics ? telemetry::now_ns() : 0;
+  const telemetry::Probe probe(telemetry::sinks() & telemetry::kMetrics);
   switch (up.kind) {
     case UpdateKind::kInsertEdge: {
       const EdgeId e = g_.insert_edge(up.u, up.v, up.weight);
@@ -117,27 +116,20 @@ void DynamicMatcher::apply(const Update& up) {
   }
   ++stats_.updates;
   after_update();
-  if (tmetrics) update_ns_histogram().record(telemetry::now_ns() - t0);
+  probe.end(&update_ns_histogram());
 }
 
 void DynamicMatcher::apply_trace(const UpdateTrace& trace) {
-  telemetry::Tracer& tracer = telemetry::Tracer::global();
-  const bool ttrace = tracer.recording();
-  const std::uint64_t t0 = ttrace ? telemetry::now_ns() : 0;
+  const telemetry::Probe probe;
   for (const Update& up : trace) apply(up);
-  if (ttrace) {
-    tracer.emit("dynamic.apply_trace", "dynamic", t0,
-                telemetry::now_ns() - t0,
-                {{"updates", static_cast<double>(trace.size())}});
-  }
+  probe.end(nullptr, "dynamic.apply_trace", "dynamic",
+            {{"updates", static_cast<double>(trace.size())}});
 }
 
 void DynamicMatcher::adopt_registry_solution(const std::string& solver,
                                              std::uint64_t seed) {
   ++stats_.rebuilds;
-  telemetry::Tracer& tracer = telemetry::Tracer::global();
-  const bool ttrace = tracer.recording();
-  const std::uint64_t t0 = ttrace ? telemetry::now_ns() : 0;
+  const telemetry::Probe probe;
   const std::size_t size_before = size_;
   const Snapshot snap = g_.snapshot();
   api::SolverConfig config;
@@ -155,17 +147,12 @@ void DynamicMatcher::adopt_registry_solution(const std::string& solver,
     const EdgeId e = snap.edge_to_dynamic[se];
     if (keep[e] && !in_matching(e)) match(e);
   }
-  if (ttrace) {
-    tracer.emit("dynamic.rebuild", "dynamic", t0, telemetry::now_ns() - t0,
-                {{"edges", static_cast<double>(snap.graph.num_edges())},
-                 {"size_before", static_cast<double>(size_before)},
-                 {"size_after", static_cast<double>(size_)}});
-  }
-  telemetry::EventLog& elog = telemetry::EventLog::global();
-  if (elog.recording()) {
-    elog.emit(telemetry::EventKind::kRebuild, stats_.rebuilds, size_before,
-              size_);
-  }
+  probe.end(nullptr, "dynamic.rebuild", "dynamic",
+            {{"edges", static_cast<double>(snap.graph.num_edges())},
+             {"size_before", static_cast<double>(size_before)},
+             {"size_after", static_cast<double>(size_)}},
+            {telemetry::EventKind::kRebuild, stats_.rebuilds, size_before,
+             size_});
 }
 
 std::vector<EdgeId> DynamicMatcher::matching_edges() const {
@@ -319,9 +306,7 @@ void RepairDynamicMatcher::repair() {
   since_repair_ = 0;
   if (dirty_.empty()) return;
   ++stats_.repairs;
-  telemetry::Tracer& tracer = telemetry::Tracer::global();
-  const bool ttrace = tracer.recording();
-  const std::uint64_t t0 = ttrace ? telemetry::now_ns() : 0;
+  const telemetry::Probe probe;
   const std::uint64_t augs_before = stats_.augmentations;
   const std::size_t dirty_count = dirty_.size();
   stamp_.resize(graph().node_slots(), 0);
@@ -346,13 +331,10 @@ void RepairDynamicMatcher::repair() {
     if (v < dirty_flag_.size()) dirty_flag_[v] = 0;
   }
   dirty_.clear();
-  if (ttrace) {
-    tracer.emit(
-        "dynamic.repair", "dynamic", t0, telemetry::now_ns() - t0,
-        {{"dirty", static_cast<double>(dirty_count)},
-         {"augmentations",
-          static_cast<double>(stats_.augmentations - augs_before)}});
-  }
+  probe.end(nullptr, "dynamic.repair", "dynamic",
+            {{"dirty", static_cast<double>(dirty_count)},
+             {"augmentations",
+              static_cast<double>(stats_.augmentations - augs_before)}});
 }
 
 int RepairDynamicMatcher::augment_from(NodeId u, int remaining) {

@@ -1,7 +1,6 @@
 #include "faults/recovery.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "telemetry/event_log.hpp"
@@ -14,13 +13,6 @@ namespace {
 
 constexpr std::uint64_t kCrashSalt = 0xc7a5'4f1a'b001'd0e5ULL;
 constexpr std::uint64_t kAdversarySalt = 0xade5'a27e'5a1e'c7edULL;
-
-std::uint64_t clock_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// floor(frac * universe), but at least one while any fault is asked
 /// for and the universe is nonempty — a 1% plan on a small graph still
@@ -67,7 +59,6 @@ void FaultSession::inject_crashes(std::uint32_t epoch, EpochReport& report) {
   Rng rng = Rng::substream(seed_, kCrashSalt, std::uint64_t{epoch});
   partial_shuffle(live, count, rng);
   telemetry::EventLog& elog = telemetry::EventLog::global();
-  const bool tevents = elog.recording();
   for (std::size_t i = 0; i < count; ++i) {
     const NodeId v = live[i];
     // Park the incidence list before it goes down with the vertex; a
@@ -77,7 +68,7 @@ void FaultSession::inject_crashes(std::uint32_t epoch, EpochReport& report) {
       parked_.push_back(ParkedEdge{v, a.to, g.weight(a.edge)});
     }
     down_.push_back(Downed{v, std::uint64_t{epoch} + plan_.down_epochs});
-    if (tevents) elog.emit(telemetry::EventKind::kCrash, epoch, v, epoch);
+    elog.emit(telemetry::EventKind::kCrash, epoch, v, epoch);
     matcher_.apply({dynamic::UpdateKind::kRemoveVertex, v});
     ++report.crashed;
   }
@@ -91,15 +82,11 @@ void FaultSession::inject_adversarial(std::uint32_t epoch,
   Rng rng = Rng::substream(seed_, kAdversarySalt, std::uint64_t{epoch});
   partial_shuffle(matched, count, rng);
   const dynamic::DynamicGraph& g = matcher_.graph();
-  telemetry::EventLog& elog = telemetry::EventLog::global();
-  const bool tevents = elog.recording();
   for (std::size_t i = 0; i < count; ++i) {
     const Edge ed = g.edge(matched[i]);
     parked_.push_back(ParkedEdge{ed.u, ed.v, g.weight(matched[i])});
-    if (tevents) {
-      elog.emit(telemetry::EventKind::kAdversarialCut, epoch, ed.u, ed.v,
-                epoch);
-    }
+    telemetry::EventLog::global().emit(telemetry::EventKind::kAdversarialCut,
+                                       epoch, ed.u, ed.v, epoch);
     matcher_.apply({dynamic::UpdateKind::kDeleteEdge, ed.u, ed.v});
     ++report.adversarial;
   }
@@ -107,16 +94,14 @@ void FaultSession::inject_adversarial(std::uint32_t epoch,
 
 std::uint64_t FaultSession::recover(std::uint64_t epoch, bool heal_all,
                                     EpochReport* report) {
-  const std::uint64_t t0 = clock_ns();
+  const std::uint64_t t0 = telemetry::now_ns();
+  const telemetry::Probe probe(telemetry::sinks() & telemetry::kMetrics);
   telemetry::EventLog& elog = telemetry::EventLog::global();
-  const bool tevents = elog.recording();
   std::size_t keep = 0;
   for (Downed& d : down_) {
     if (heal_all || d.up_epoch <= epoch) {
       matcher_.apply({dynamic::UpdateKind::kReviveVertex, d.v});
-      if (tevents) {
-        elog.emit(telemetry::EventKind::kRevive, epoch, d.v, epoch);
-      }
+      elog.emit(telemetry::EventKind::kRevive, epoch, d.v, epoch);
       if (report != nullptr) ++report->revived;
     } else {
       down_[keep++] = d;
@@ -137,22 +122,16 @@ std::uint64_t FaultSession::recover(std::uint64_t epoch, bool heal_all,
     if (g.find_edge(pe.u, pe.v) == kInvalidEdge) {
       matcher_.apply(
           {dynamic::UpdateKind::kInsertEdge, pe.u, pe.v, pe.w});
-      if (tevents) {
-        elog.emit(telemetry::EventKind::kReinsert, epoch, pe.u, pe.v, epoch);
-      }
+      elog.emit(telemetry::EventKind::kReinsert, epoch, pe.u, pe.v, epoch);
       if (report != nullptr) ++report->reinserted;
     }
   }
   parked_.resize(keep);
 
   matcher_.flush();
-  const std::uint64_t ns = clock_ns() - t0;
-  if (telemetry::enabled()) {
-    telemetry::MetricsRegistry::global()
-        .histogram("faults.recovery_ns")
-        .record(ns);
-  }
-  return ns;
+  probe.end(&telemetry::MetricsRegistry::global().histogram(
+      "faults.recovery_ns"));
+  return telemetry::now_ns() - t0;
 }
 
 bool FaultSession::audit() const {

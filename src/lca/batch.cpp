@@ -34,9 +34,7 @@ BatchStats BatchEngine::run(
         fn) {
   BatchStats out;
   const OracleStats before = total_stats();
-  telemetry::Tracer& tracer = telemetry::Tracer::global();
-  const bool ttrace = tracer.recording();
-  const std::uint64_t tb = ttrace ? telemetry::now_ns() : 0;
+  const telemetry::Probe probe;
   const auto t0 = std::chrono::steady_clock::now();
   if (pool_ != nullptr && pool_->num_threads() > 1 && count > 0) {
     // Chunks small enough that every worker stays busy, large enough
@@ -63,49 +61,36 @@ BatchStats BatchEngine::run(
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   out.oracle = total_stats();
   out.oracle -= before;
-  if (ttrace) {
-    tracer.emit("lca.batch", "lca", tb, telemetry::now_ns() - tb,
-                {{"queries", static_cast<double>(count)},
-                 {"probes", static_cast<double>(out.oracle.probes)}});
-  }
+  probe.end(nullptr, "lca.batch", "lca",
+            {{"queries", static_cast<double>(count)},
+             {"probes", static_cast<double>(out.oracle.probes)}});
   return out;
 }
 
 namespace {
 
-/// Per-query instrumentation shared by the edge/node batch loops: a
-/// lca.query_ns histogram sample when metrics are on, plus a per-query
-/// span (with the oracle's probe delta as an arg) when tracing.
-template <typename Query>
-void instrumented_query(MatchingOracle& oracle, bool tmetrics, bool ttrace,
-                        telemetry::Histogram* query_ns, double key,
-                        const Query& query) {
-  if (!tmetrics && !ttrace) {
-    query();
-    return;
-  }
-  const std::uint64_t probes_before = oracle.stats().probes;
-  const std::uint64_t t0 = telemetry::now_ns();
-  query();
-  const std::uint64_t t1 = telemetry::now_ns();
-  if (tmetrics) query_ns->record(t1 - t0);
-  if (ttrace) {
-    telemetry::Tracer::global().emit(
-        "lca.query", "lca", t0, t1 - t0,
-        {{"key", key},
-         {"probes", static_cast<double>(oracle.stats().probes -
-                                        probes_before)}});
-  }
-}
+/// Per-query instrumentation shared by the edge/node batch loops, from
+/// the batch's one sink read: an lca.query_ns sample and an lca.query
+/// span tagged with the oracle's probe delta (no event, so the event
+/// and progress sinks are masked off).
+struct QueryProbe {
+  unsigned sinks = telemetry::sinks() & (telemetry::kMetrics | telemetry::kTrace);
+  telemetry::Histogram& query_ns =
+      telemetry::MetricsRegistry::global().histogram("lca.query_ns");
 
-/// Resolved once per batch; the per-query path then branches on bools.
-struct QueryTelemetry {
-  bool tmetrics = telemetry::enabled();
-  bool ttrace = telemetry::Tracer::global().recording();
-  telemetry::Histogram* query_ns =
-      tmetrics ? &telemetry::MetricsRegistry::global().histogram(
-                     "lca.query_ns")
-               : nullptr;
+  template <typename Query>
+  void operator()(MatchingOracle& oracle, double key,
+                  const Query& query) const {
+    const telemetry::Probe probe(sinks);
+    const bool traced = probe.on(telemetry::kTrace);
+    const std::uint64_t before = traced ? oracle.stats().probes : 0;
+    query();
+    probe.end(&query_ns, "lca.query", "lca",
+              {{"key", key},
+               {"probes", traced ? static_cast<double>(
+                                       oracle.stats().probes - before)
+                                 : 0.0}});
+  }
 };
 
 }  // namespace
@@ -113,15 +98,13 @@ struct QueryTelemetry {
 EdgeBatchResult BatchEngine::query_edges(const std::vector<EdgeId>& edges) {
   EdgeBatchResult out;
   out.in_matching.assign(edges.size(), 0);
-  const QueryTelemetry qt;
+  const QueryProbe instrumented;
   out.stats = run(edges.size(), [&](MatchingOracle& oracle,
                                     std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      instrumented_query(oracle, qt.tmetrics, qt.ttrace, qt.query_ns,
-                         static_cast<double>(edges[i]), [&] {
-                           out.in_matching[i] =
-                               oracle.in_matching(edges[i]) ? 1 : 0;
-                         });
+      instrumented(oracle, static_cast<double>(edges[i]), [&] {
+        out.in_matching[i] = oracle.in_matching(edges[i]) ? 1 : 0;
+      });
     }
   });
   return out;
@@ -130,14 +113,13 @@ EdgeBatchResult BatchEngine::query_edges(const std::vector<EdgeId>& edges) {
 NodeBatchResult BatchEngine::query_nodes(const std::vector<NodeId>& nodes) {
   NodeBatchResult out;
   out.matched_to.assign(nodes.size(), kInvalidNode);
-  const QueryTelemetry qt;
+  const QueryProbe instrumented;
   out.stats = run(nodes.size(), [&](MatchingOracle& oracle,
                                     std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      instrumented_query(oracle, qt.tmetrics, qt.ttrace, qt.query_ns,
-                         static_cast<double>(nodes[i]), [&] {
-                           out.matched_to[i] = oracle.matched_to(nodes[i]);
-                         });
+      instrumented(oracle, static_cast<double>(nodes[i]), [&] {
+        out.matched_to[i] = oracle.matched_to(nodes[i]);
+      });
     }
   });
   return out;

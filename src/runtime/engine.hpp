@@ -70,6 +70,14 @@
 //    wakes every node for every round in which it might act without an
 //    incoming message.
 //
+// Instrumentation (DESIGN.md §12) never feeds back into execution. Each
+// phase — construction or reset, exchange phase 1, each shard's phase 2
+// and inbox sort, the step loop, the round itself — is one telemetry
+// Probe whose end() records its histogram sample, span and event; the
+// round adds its counters and the progress-board publish. run_round
+// reads the sinks once and every phase shares that read, so with every
+// sink off a round costs one relaxed load and no clock read.
+//
 // A node program is any callable `void step(Ctx& ctx)`; persistent node
 // state lives in arrays owned by the algorithm object (indexed by node
 // id). During a parallel round a node may only touch its own state and
@@ -205,6 +213,8 @@ class SyncNetwork {
 
  private:
   struct PerWorker;  // defined below; Ctx holds a pointer to its worker
+  using Probe = telemetry::Probe;
+  using EventKind = telemetry::EventKind;
 
  public:
   /// Per-node, per-round execution context.
@@ -273,7 +283,7 @@ class SyncNetwork {
     if constexpr (std::is_same_v<Meter, BitMeter>) {
       if (!meter_) meter_ = DefaultBitMeter<M>{};
     }
-    const std::uint64_t t0 = setup_span_start();
+    const Probe setup;
     const NodeId n = g.num_nodes();
     plan_ = plan_shards(n, exec.shards);
     shard_active_.resize(plan_.count);
@@ -304,7 +314,8 @@ class SyncNetwork {
         arc_meta_[a].slot = inbox_meta_[s.adj_to[a]].cnt++;
       }
     }
-    setup_span_end(t0, /*is_reset=*/false);
+    setup.end(nullptr, "engine.setup", "engine",
+              {{"arcs", static_cast<double>(arc_meta_.size())}, {"reset", 0}});
   }
 
   /// Restart the network at round 0 under `seed`, as if freshly
@@ -316,7 +327,7 @@ class SyncNetwork {
   /// pool, shard plan and fault injector stay attached. Stamps are not
   /// touched: the epoch base moves past every stamp the run wrote.
   void reset(std::uint64_t seed) {
-    const std::uint64_t t0 = setup_span_start();
+    const Probe setup;
     epoch_base_ = epoch();  // past the last round's stamps
     seed_ = seed;
     round_ = 0;
@@ -337,7 +348,8 @@ class SyncNetwork {
     delivered_total_ = 0;
     stepped_last_round_ = 0;
     stats_ = NetStats{};
-    setup_span_end(t0, /*is_reset=*/true);
+    setup.end(nullptr, "engine.setup", "engine",
+              {{"arcs", static_cast<double>(arc_meta_.size())}, {"reset", 1}});
   }
 
   /// The vertex shards the mailbox and scheduler operate on.
@@ -403,16 +415,12 @@ class SyncNetwork {
     if (epoch() == kNeverEpoch) rebase_epochs();
     ++stats_.rounds;
 
-    // Telemetry gates, resolved once per round: two relaxed loads.
-    const bool tmetrics = telemetry::enabled();
-    telemetry::Tracer& tracer = telemetry::Tracer::global();
-    const bool ttrace = tracer.recording();
-    const bool tel = tmetrics || ttrace;
+    // The round's one sink read; every phase below shares it.
+    const Probe round;
     const std::uint64_t this_round = round_;
-    const std::uint64_t t_round = tel ? telemetry::now_ns() : 0;
 
     const bool all = step_all_ || (round_ == 0 && !initial_restricted_);
-    build_inboxes(tmetrics, ttrace, all);
+    build_inboxes(round.sinks(), all);
     delivered_last_round_ = dlv_key_.size();
 
     // The shards' active sets, concatenated in shard order, are the
@@ -429,10 +437,10 @@ class SyncNetwork {
     }
     stepped_last_round_ = count;
 
-    const std::uint64_t t_step = tel ? telemetry::now_ns() : 0;
+    const Probe stepping(round.sinks());
     auto process = [&](unsigned worker, std::size_t begin, std::size_t end) {
       PerWorker& pw = workers_[worker];
-      const std::uint64_t t_chunk = tel ? telemetry::now_ns() : 0;
+      const Probe busy(round.sinks() & telemetry::kMetrics);
       // One Ctx per chunk, reset per node: constructing the embedded Rng
       // runs the xoshiro seeding expansion, pure waste for steps that
       // never draw (rng() re-seeds from the substream on first use).
@@ -456,14 +464,16 @@ class SyncNetwork {
         ctx.inbox_ = inbox_of(node);
         step(ctx);
       }
-      if (tel) pw.busy_ns += telemetry::now_ns() - t_chunk;
+      pw.busy_ns += busy.elapsed_ns();
     };
     if (pool_ != nullptr && pool_->num_threads() > 1) {
       pool_->parallel_for_workers(0, count, 256, process);
     } else {
       process(0, 0, count);
     }
-    const std::uint64_t t_step_end = tel ? telemetry::now_ns() : 0;
+    stepping.end(&metrics_.step_ns, "engine.step", "engine",
+                 {{"round", static_cast<double>(this_round)},
+                  {"stepped", static_cast<double>(count)}});
 
     // One stat merge per round (per-worker slots; no mutex anywhere).
     std::uint64_t sent = 0;
@@ -475,10 +485,9 @@ class SyncNetwork {
       stats_.max_message_bits =
           std::max(stats_.max_message_bits, w.stats.max_message_bits);
       w.stats = NetStats{};
-      if (tmetrics && w.busy_ns != 0) {
-        telemetry::EngineMetrics::get().worker_busy_ns.add(wi, w.busy_ns);
-      }
-      w.busy_ns = 0;  // unconditional: no stale carry if telemetry toggles
+      // Non-zero only while metrics are on (the busy probe's sink).
+      if (w.busy_ns != 0) metrics_.worker_busy_ns.add(wi, w.busy_ns);
+      w.busy_ns = 0;
     }
     stats_.messages += sent;
     stats_.total_bits += bits;
@@ -489,41 +498,22 @@ class SyncNetwork {
     delivered_total_ += delivered_last_round_;
     ++round_;
 
-    // Structured round-boundary event + live progress snapshot. Both
-    // paths only observe engine state (never feed back into it), so
-    // executions stay bit-identical with them on or off.
-    telemetry::EventLog& elog = telemetry::EventLog::global();
-    if (elog.recording()) {
-      elog.emit(telemetry::EventKind::kRound, this_round,
-                delivered_last_round_, sent, stepped_last_round_);
+    // The round boundary: span, event, counters and progress publish.
+    const std::uint64_t delivered = delivered_last_round_;
+    const std::uint64_t t_end = round.end(
+        &metrics_.round_ns, "engine.round", "engine",
+        {{"round", static_cast<double>(this_round)},
+         {"delivered", static_cast<double>(delivered)},
+         {"sent", static_cast<double>(sent)}},
+        {EventKind::kRound, this_round, delivered, sent, count});
+    if (round.on(telemetry::kMetrics)) {
+      metrics_.rounds.add(1);
+      metrics_.messages_delivered.add(delivered);
+      metrics_.messages_per_round.push(delivered);
     }
-    telemetry::ProgressBoard& board = telemetry::ProgressBoard::global();
-    if (board.publishing()) {
-      board.publish(round_, delivered_total_, stepped_last_round_,
-                    telemetry::now_ns());
-    }
-
-    if (tel) {
-      const std::uint64_t t_end = telemetry::now_ns();
-      if (tmetrics) {
-        telemetry::EngineMetrics& em = telemetry::EngineMetrics::get();
-        em.rounds.add(1);
-        em.messages_delivered.add(delivered_last_round_);
-        em.round_ns.record(t_end - t_round);
-        em.step_ns.record(t_step_end - t_step);
-        em.messages_per_round.push(delivered_last_round_);
-      }
-      if (ttrace) {
-        const auto r = static_cast<double>(this_round);
-        tracer.emit("engine.step", "engine", t_step, t_step_end - t_step,
-                    {{"round", r},
-                     {"stepped", static_cast<double>(stepped_last_round_)}});
-        tracer.emit(
-            "engine.round", "engine", t_round, t_end - t_round,
-            {{"round", r},
-             {"delivered", static_cast<double>(delivered_last_round_)},
-             {"sent", static_cast<double>(sent)}});
-      }
+    if (round.on(telemetry::kProgress)) {
+      telemetry::ProgressBoard::global().publish(round_, delivered_total_,
+                                                 count, t_end);
     }
   }
 
@@ -569,19 +559,6 @@ class SyncNetwork {
     for (ArcMeta& am : arc_meta_) am.stamp = kNeverEpoch;
     for (InboxMeta& im : inbox_meta_) im.stamp = kNeverEpoch;
     epoch_base_ = -static_cast<std::uint32_t>(round_);
-  }
-
-  /// engine.setup span over construction or reset, behind the tracer
-  /// gate: the start stamp is 0 when the tracer is not recording.
-  static std::uint64_t setup_span_start() {
-    return telemetry::Tracer::global().recording() ? telemetry::now_ns() : 0;
-  }
-  void setup_span_end(std::uint64_t t0, bool is_reset) const {
-    if (t0 == 0) return;
-    telemetry::Tracer::global().emit(
-        "engine.setup", "engine", t0, telemetry::now_ns() - t0,
-        {{"arcs", static_cast<double>(arc_meta_.size())},
-         {"reset", is_reset ? 1.0 : 0.0}});
   }
 
   /// Per-arc channel metadata, packed so the send path touches one
@@ -740,7 +717,6 @@ class SyncNetwork {
   void inject_message_faults() {
     const GraphStore& s = graph_->store();
     telemetry::EventLog& elog = telemetry::EventLog::global();
-    const bool tevents = elog.recording();
     for (PerWorker& w : workers_) {
       for (Bin& b : w.bins) {
         const std::size_t n_sends = b.size();
@@ -754,26 +730,18 @@ class SyncNetwork {
           const faults::MessageFate fate =
               faults_->decide(edge, from, round_);
           if (fate.drop) {
-            if (tevents) {
-              elog.emit(telemetry::EventKind::kFaultDrop, round_, edge, from);
-            }
+            elog.emit(EventKind::kFaultDrop, round_, edge, from);
             continue;
           }
           if (fate.delay > 0) {
-            if (tevents) {
-              elog.emit(telemetry::EventKind::kFaultDelay, round_, edge,
-                        from, fate.delay);
-            }
+            elog.emit(EventKind::kFaultDelay, round_, edge, from, fate.delay);
             delayed_.push_back(PendingRec{round_ + fate.delay, to, key,
                                           b.seq[i], std::move(b.msg[i])});
             continue;
           }
           if (fate.dup) {
             if constexpr (std::is_copy_constructible_v<M>) {
-              if (tevents) {
-                elog.emit(telemetry::EventKind::kFaultDup, round_, edge,
-                          from);
-              }
+              elog.emit(EventKind::kFaultDup, round_, edge, from);
               dup_buf_.push_back(
                   PendingRec{round_, to, key, b.seq[i], b.msg[i]});
             }
@@ -880,11 +848,7 @@ class SyncNetwork {
   /// in the order the step loop visits them; a round with nothing to
   /// deliver assembles the active sets serially instead of paying a
   /// pool dispatch for wakes alone.
-  void build_inboxes(bool tmetrics, bool ttrace, bool all) {
-    const bool tel = tmetrics || ttrace;
-    telemetry::Tracer& tracer = telemetry::Tracer::global();
-    telemetry::EventLog& elog = telemetry::EventLog::global();
-    const bool tevents = elog.recording();
+  void build_inboxes(unsigned sinks, bool all) {
     // Fault seam: one branch per round while no injector is attached; the
     // serial pass mutates only the per-worker bins plus the delayed
     // queue, before any counting begins.
@@ -898,7 +862,7 @@ class SyncNetwork {
     for (std::vector<NodeId>& sa : shard_active_) sa.clear();
 
     // Phase 1: shard s's slice starts after every bin of shards < s.
-    const std::uint64_t t_p1 = tel ? telemetry::now_ns() : 0;
+    const Probe p1(sinks);
     const unsigned num_shards = plan_.count;
     shard_off_.resize(num_shards + 1);
     std::size_t total = 0;
@@ -911,19 +875,10 @@ class SyncNetwork {
       for (unsigned s = 0; s < num_shards; ++s) collect_active(s, all);
       return;
     }
-    const std::uint64_t t_p1_end = tel ? telemetry::now_ns() : 0;
-    if (tmetrics) {
-      telemetry::EngineMetrics::get().exchange_p1_ns.record(t_p1_end - t_p1);
-    }
-    if (ttrace) {
-      tracer.emit("engine.exchange.p1", "engine", t_p1, t_p1_end - t_p1,
-                  {{"round", static_cast<double>(round_)},
-                   {"msgs", static_cast<double>(total)}});
-    }
-    if (tevents) {
-      elog.emit(telemetry::EventKind::kExchange, round_, /*phase=*/1,
-                /*shard=*/0, total);
-    }
+    p1.end(&metrics_.exchange_p1_ns, "engine.exchange.p1", "engine",
+           {{"round", static_cast<double>(round_)},
+            {"msgs", static_cast<double>(total)}},
+           {EventKind::kExchange, round_, /*phase=*/1, /*shard=*/0, total});
 
     // Phase 2: within each shard, counting-sort by receiver. A shard's
     // deliveries occupy exactly its slice [shard_off_[s], shard_off_[s+1])
@@ -939,7 +894,7 @@ class SyncNetwork {
         collect_active(s, all);
         return;
       }
-      const std::uint64_t t_s0 = tel ? telemetry::now_ns() : 0;
+      const Probe p2(sinks);
       // Receivers enter the shard's active set first; then collect_active
       // adds the due wakes and orders the set.
       std::vector<NodeId>& act = shard_active_[s];
@@ -975,7 +930,16 @@ class SyncNetwork {
         }
         b.clear();
       }
-      const std::uint64_t t_s1 = tel ? telemetry::now_ns() : 0;
+      const auto sh = static_cast<double>(s);
+      const auto rd = static_cast<double>(round_);
+      const Probe sort(
+          sinks, p2.end(&metrics_.exchange_p2_ns, "engine.exchange.p2",
+                        "engine",
+                        {{"shard", sh},
+                         {"round", rd},
+                         {"msgs", static_cast<double>(se - sb)}},
+                        {EventKind::kExchange, round_, /*phase=*/2, s,
+                         se - sb}));
       for (const NodeId v : act) {
         const InboxMeta& im = inbox_meta_[v];
         if (im.stamp == tag) sort_inbox(im.off, im.cnt, with_seq);
@@ -998,29 +962,11 @@ class SyncNetwork {
           faults_->note_reordered();
         }
       }
-      if (tel) {
-        const std::uint64_t t_s2 = telemetry::now_ns();
-        if (tmetrics) {
-          telemetry::EngineMetrics& em = telemetry::EngineMetrics::get();
-          em.exchange_p2_ns.record(t_s1 - t_s0);
-          em.inbox_sort_ns.record(t_s2 - t_s1);
-          em.shard_exchange_ns.add(s, t_s2 - t_s0);
-        }
-        if (ttrace) {
-          const auto rd = static_cast<double>(round_);
-          const auto sh = static_cast<double>(s);
-          tracer.emit("engine.exchange.p2", "engine", t_s0, t_s1 - t_s0,
-                      {{"shard", sh},
-                       {"round", rd},
-                       {"msgs", static_cast<double>(se - sb)}});
-          tracer.emit("engine.inbox.sort", "engine", t_s1, t_s2 - t_s1,
-                      {{"shard", sh}, {"round", rd}});
-        }
-      }
-      if (tevents) {
-        // Safe shard-parallel: events land in per-thread buffers.
-        elog.emit(telemetry::EventKind::kExchange, round_, /*phase=*/2, s,
-                  se - sb);
+      const std::uint64_t t_end =
+          sort.end(&metrics_.inbox_sort_ns, "engine.inbox.sort", "engine",
+                   {{"shard", sh}, {"round", rd}});
+      if (sort.on(telemetry::kMetrics)) {
+        metrics_.shard_exchange_ns.add(s, t_end - p2.start_ns());
       }
     };
     if (pool_ != nullptr && pool_->num_threads() > 1 && num_shards > 1) {
@@ -1096,6 +1042,7 @@ class SyncNetwork {
   const Graph* graph_;
   std::uint64_t seed_;
   Meter meter_;
+  telemetry::EngineMetrics& metrics_ = telemetry::EngineMetrics::get();
   ThreadPool* pool_;
   ShardPlan plan_;
 

@@ -59,8 +59,4 @@ inline std::uint64_t node_id_bits(std::uint64_t n) noexcept {
   return b;
 }
 
-// Per-round traces live in src/telemetry (Tracer spans + the
-// engine.messages_per_round series); the old RoundTrace struct that sat
-// here is subsumed by that layer.
-
 }  // namespace lps

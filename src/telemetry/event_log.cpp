@@ -47,78 +47,24 @@ std::array<const char*, 3> event_arg_names(EventKind k) noexcept {
 }
 
 EventLog& EventLog::global() {
-  static EventLog log;
-  return log;
+  static EventLog* instance = new EventLog();
+  return *instance;
 }
 
 void EventLog::set_recording(bool on) noexcept {
-  recording_.store(on, std::memory_order_relaxed);
-}
-
-void EventLog::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& buf : buffers_) buf->events.clear();
-  total_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
-}
-
-void EventLog::set_capacity(std::size_t max_events) {
-  capacity_.store(max_events, std::memory_order_relaxed);
-}
-
-EventLog::Buffer& EventLog::local_buffer() {
-  // One buffer per (thread, EventLog) pair, registered once; the
-  // raw pointer stays valid because buffers_ holds unique_ptrs and is
-  // never pruned while the process runs (same lifetime contract as
-  // Tracer::local_buffer).
-  thread_local Buffer* tl_buffer = nullptr;
-  thread_local const EventLog* tl_owner = nullptr;
-  if (tl_buffer == nullptr || tl_owner != this) {
-    auto owned = std::make_unique<Buffer>();
-    owned->events.reserve(256);
-    Buffer* raw = owned.get();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      buffers_.push_back(std::move(owned));
-    }
-    tl_buffer = raw;
-    tl_owner = this;
-  }
-  return *tl_buffer;
+  detail::set_sink(kEvents, on);
 }
 
 void EventLog::emit(EventKind kind, std::uint64_t round, std::uint64_t a,
                     std::uint64_t b, std::uint64_t c) {
-  if (!recording()) return;
-  if (total_.fetch_add(1, std::memory_order_relaxed) >=
-      capacity_.load(std::memory_order_relaxed)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  local_buffer().events.push_back(
-      Event{kind, round, static_cast<std::uint64_t>(now_ns()), a, b, c});
-}
-
-std::size_t EventLog::events() const noexcept {
-  const std::size_t total = total_.load(std::memory_order_relaxed);
-  const std::size_t dropped = dropped_.load(std::memory_order_relaxed);
-  return total > dropped ? total - dropped : 0;
-}
-
-std::size_t EventLog::dropped() const noexcept {
-  return dropped_.load(std::memory_order_relaxed);
+  if (recording()) events_.push(Event{kind, round, now_ns(), a, b, c});
 }
 
 std::vector<Event> EventLog::snapshot() const {
   std::vector<Event> merged;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t total = 0;
-    for (const auto& buf : buffers_) total += buf->events.size();
-    merged.reserve(total);
-    for (const auto& buf : buffers_)
-      merged.insert(merged.end(), buf->events.begin(), buf->events.end());
-  }
+  events_.for_each([&](const ThreadRecorder<Event>::Buffer& buf) {
+    merged.insert(merged.end(), buf.records.begin(), buf.records.end());
+  });
   std::stable_sort(merged.begin(), merged.end(),
                    [](const Event& x, const Event& y) {
                      if (x.ns != y.ns) return x.ns < y.ns;

@@ -13,20 +13,15 @@
 // watchdog's tail dump — switches over the same enum, so adding a kind
 // is one enum entry plus one row in the name tables below.
 //
-// Recording follows the Tracer's discipline exactly: per-thread buffers
-// registered once under a mutex, relaxed-load recording() gate resolved
-// once per round by the engine, a global capacity cap with a dropped
-// counter, and merge-on-write. Emission never feeds back into
-// execution — an engine run with the event log on is bit-identical to
-// one with it off (CTest-enforced across all 8 engine clients).
+// Events come from emit() or a phase's Probe::end() and are stored like
+// the Tracer's spans, in a ThreadRecorder. Emission never feeds back
+// into execution — an engine run with the event log on is bit-identical
+// to one with it off (CTest-enforced across all 8 engine clients).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -74,28 +69,27 @@ class EventLog {
  public:
   static EventLog& global();
 
-  bool recording() const noexcept {
-    return recording_.load(std::memory_order_relaxed);
-  }
+  bool recording() const noexcept { return (sinks() & kEvents) != 0; }
   /// Start/stop event collection. Starting
   /// does NOT clear prior events; call reset() for a fresh log.
   void set_recording(bool on) noexcept;
 
   /// Drop all recorded events (buffers stay registered). Only call
   /// while no other thread is emitting.
-  void reset();
+  void reset() { events_.reset(); }
   /// Event cap across all threads; beyond it events are dropped and
   /// counted. Default 1M.
-  void set_capacity(std::size_t max_events);
+  void set_capacity(std::size_t max_events) {
+    events_.set_capacity(max_events);
+  }
 
   /// Record one event on the calling thread's buffer. Safe from any
-  /// thread; a no-op unless recording() (callers resolve the gate once
-  /// per round/phase, not per event).
+  /// thread; a no-op unless recording(), so callers need no gate.
   void emit(EventKind kind, std::uint64_t round, std::uint64_t a = 0,
             std::uint64_t b = 0, std::uint64_t c = 0);
 
-  std::size_t events() const noexcept;
-  std::size_t dropped() const noexcept;
+  std::size_t events() const noexcept { return events_.size(); }
+  std::size_t dropped() const noexcept { return events_.dropped(); }
 
   /// All buffers merged and sorted by (ns, round) — the cross-thread
   /// timeline. snapshot()/write are for quiescent moments; they
@@ -114,19 +108,10 @@ class EventLog {
   static std::string to_json_line(const Event& e);
 
  private:
-  struct Buffer {
-    std::vector<Event> events;
-  };
-
+  friend class Probe;
   EventLog() = default;
-  Buffer& local_buffer();
 
-  std::atomic<bool> recording_{false};
-  std::atomic<std::size_t> total_{0};
-  std::atomic<std::size_t> dropped_{0};
-  std::atomic<std::size_t> capacity_{1u << 20};
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<Buffer>> buffers_;
+  ThreadRecorder<Event> events_;
 };
 
 }  // namespace lps::telemetry

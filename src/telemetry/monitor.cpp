@@ -17,7 +17,7 @@ ProgressBoard& ProgressBoard::global() {
 }
 
 void ProgressBoard::set_publishing(bool on) noexcept {
-  publishing_.store(on, std::memory_order_relaxed);
+  detail::set_sink(kProgress, on);
 }
 
 void ProgressBoard::publish(std::uint64_t round, std::uint64_t delivered_total,
@@ -117,11 +117,9 @@ void Monitor::dump_stall(const ProgressSnapshot& snap, bool have_snap,
   }
 
   auto& elog = EventLog::global();
-  if (elog.recording()) {
-    elog.emit(EventKind::kWatchdog, have_snap ? snap.round : 0,
-              have_snap ? snap.round : 0,
-              have_snap ? snap.delivered_total : 0);
-  }
+  elog.emit(EventKind::kWatchdog, have_snap ? snap.round : 0,
+            have_snap ? snap.round : 0,
+            have_snap ? snap.delivered_total : 0);
   const auto tail = elog.tail(32);
   os << "watchdog: event-log tail (" << tail.size() << " of " << elog.events()
      << " events):\n";

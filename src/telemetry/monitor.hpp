@@ -8,8 +8,8 @@
 //    blocks: a try-exchange writer flag skips the publish when another
 //    writer holds the board, and all fields are relaxed atomics so the
 //    seqlock is data-race-free under TSan. Readers retry on a torn or
-//    in-progress sequence. Gated by publishing() with the same
-//    kill-switch contract as telemetry::enabled().
+//    in-progress sequence. Gated by publishing(), the progress bit of
+//    telemetry::sinks(), which the engine's round probe reads.
 //
 //  * Monitor — a background sampler thread that reads the board every
 //    interval, renders a one-line status to stderr (msgs/sec derived
@@ -47,11 +47,9 @@ class ProgressBoard {
  public:
   static ProgressBoard& global();
 
-  bool publishing() const noexcept {
-    return publishing_.load(std::memory_order_relaxed);
-  }
-  /// Arm/disarm the board. Monitor arms it on
-  /// construction; publish() callers gate on publishing() once per round.
+  bool publishing() const noexcept { return (sinks() & kProgress) != 0; }
+  /// Arm/disarm the board. Monitor arms it on construction; the engine
+  /// publishes once per round while it is armed.
   void set_publishing(bool on) noexcept;
 
   /// Publish a snapshot. Never blocks: if another writer is mid-publish
@@ -75,7 +73,6 @@ class ProgressBoard {
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> active_{0};
   std::atomic<std::uint64_t> heartbeat_{0};
-  std::atomic<bool> publishing_{false};
 };
 
 struct MonitorOptions {

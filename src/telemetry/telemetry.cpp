@@ -7,14 +7,22 @@
 #include <fstream>
 #include <ostream>
 
+#include "telemetry/event_log.hpp"
+
 namespace lps::telemetry {
 
 namespace detail {
-std::atomic<bool> g_metrics_enabled{false};
+std::atomic<unsigned> g_sinks{0};
+void set_sink(unsigned sink, bool on) noexcept {
+  if (on) {
+    g_sinks.fetch_or(sink, std::memory_order_relaxed);
+  } else {
+    g_sinks.fetch_and(~sink, std::memory_order_relaxed);
+  }
 }
-void set_enabled(bool on) noexcept {
-  detail::g_metrics_enabled.store(on, std::memory_order_relaxed);
-}
+}  // namespace detail
+
+void set_enabled(bool on) noexcept { detail::set_sink(kMetrics, on); }
 
 std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(
@@ -252,17 +260,6 @@ std::vector<std::pair<std::string, std::uint64_t>> MetricsRegistry::counters()
   return out;
 }
 
-std::vector<std::pair<std::string, HistogramSnapshot>>
-MetricsRegistry::histograms() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, HistogramSnapshot>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [key, value] : histograms_) {
-    out.emplace_back(key, value->snapshot());
-  }
-  return out;
-}
-
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [key, value] : counters_) value->reset();
@@ -288,6 +285,23 @@ EngineMetrics& EngineMetrics::get() {
   return *instance;
 }
 
+// ---------------------------------------------------------------- probe --
+
+std::uint64_t Probe::finish(Histogram* hist, const char* span,
+                            const char* cat, std::initializer_list<Arg> args,
+                            const PhaseEvent* event) const {
+  const std::uint64_t t1 = now_ns();
+  if (hist != nullptr && on(kMetrics)) hist->record(t1 - t0_);
+  if (span != nullptr && on(kTrace)) {
+    Tracer::global().record(span, cat, t0_, t1 - t0_, args);
+  }
+  if (event != nullptr && on(kEvents)) {
+    EventLog::global().events_.push(Event{event->kind, event->round, t1,
+                                          event->a, event->b, event->c});
+  }
+  return t1;
+}
+
 // --------------------------------------------------------------- tracer --
 
 Tracer& Tracer::global() {
@@ -295,23 +309,10 @@ Tracer& Tracer::global() {
   return *instance;
 }
 
-void Tracer::set_recording(bool on) noexcept {
-  recording_.store(on, std::memory_order_relaxed);
-}
-
-void Tracer::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& buffer : buffers_) buffer->events.clear();
-  total_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
-}
-
-void Tracer::set_capacity(std::size_t max_events) {
-  capacity_.store(max_events, std::memory_order_relaxed);
-}
+void Tracer::set_recording(bool on) noexcept { detail::set_sink(kTrace, on); }
 
 const char* Tracer::intern(const std::string& s) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(intern_mutex_);
   for (const auto& existing : interned_) {
     if (*existing == s) return existing->c_str();
   }
@@ -319,64 +320,19 @@ const char* Tracer::intern(const std::string& s) {
   return interned_.back()->c_str();
 }
 
-Tracer::Buffer& Tracer::local_buffer() {
-  thread_local Buffer* buf = nullptr;
-  if (buf == nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    buffers_.push_back(std::make_unique<Buffer>());
-    buf = buffers_.back().get();
-    buf->tid = static_cast<std::uint32_t>(buffers_.size() - 1);
-  }
-  return *buf;
-}
-
-void Tracer::set_thread_label(const std::string& label) {
-  Buffer& buf = local_buffer();
-  std::lock_guard<std::mutex> lock(mutex_);
-  buf.label = label;
-}
-
-void Tracer::push(const char* name, const char* cat, std::uint64_t ts_ns,
-                  std::uint64_t dur_ns, char ph,
-                  std::initializer_list<Arg> args) {
-  if (!recording()) return;
-  if (total_.fetch_add(1, std::memory_order_relaxed) >=
-      capacity_.load(std::memory_order_relaxed)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  Event e;
-  e.name = name;
-  e.cat = cat;
-  e.ts_ns = ts_ns;
-  e.dur_ns = dur_ns;
-  e.ph = ph;
-  e.argc = 0;
+void Tracer::record(const char* name, const char* cat, std::uint64_t ts_ns,
+                    std::uint64_t dur_ns, std::initializer_list<Arg> args) {
+  Span span{name, cat, ts_ns, dur_ns, 0, {}};
   for (const Arg& a : args) {
-    if (e.argc >= e.args.size()) break;
-    e.args[e.argc++] = a;
+    if (span.argc >= span.args.size()) break;
+    span.args[span.argc++] = a;
   }
-  local_buffer().events.push_back(e);
+  spans_.push(span);
 }
 
 void Tracer::emit(const char* name, const char* cat, std::uint64_t ts_ns,
                   std::uint64_t dur_ns, std::initializer_list<Arg> args) {
-  push(name, cat, ts_ns, dur_ns, 'X', args);
-}
-
-void Tracer::instant(const char* name, const char* cat,
-                     std::initializer_list<Arg> args) {
-  push(name, cat, now_ns(), 0, 'i', args);
-}
-
-std::size_t Tracer::events() const noexcept {
-  const std::size_t total = total_.load(std::memory_order_relaxed);
-  const std::size_t dropped = dropped_.load(std::memory_order_relaxed);
-  return total - std::min(total, dropped);
-}
-
-std::size_t Tracer::dropped() const noexcept {
-  return dropped_.load(std::memory_order_relaxed);
+  if (recording()) record(name, cat, ts_ns, dur_ns, args);
 }
 
 namespace {
@@ -397,31 +353,30 @@ void append_number(std::string& out, double v) {
 }  // namespace
 
 void Tracer::write_chrome_trace(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   // Rebase timestamps to the earliest event so `ts` stays well inside
   // double precision at nanosecond resolution.
   std::uint64_t t0 = ~std::uint64_t{0};
-  for (const auto& buffer : buffers_) {
-    for (const Event& e : buffer->events) t0 = std::min(t0, e.ts_ns);
-  }
+  spans_.for_each([&](const ThreadRecorder<Span>::Buffer& buffer) {
+    for (const Span& e : buffer.records) t0 = std::min(t0, e.ts_ns);
+  });
   if (t0 == ~std::uint64_t{0}) t0 = 0;
 
   os << "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [";
   bool first = true;
   std::string line;
-  for (const auto& buffer : buffers_) {
-    if (!buffer->label.empty()) {
+  spans_.for_each([&](const ThreadRecorder<Span>::Buffer& buffer) {
+    if (!buffer.label.empty()) {
       line.clear();
       line += first ? "\n" : ",\n";
       first = false;
       line += "{\"ph\": \"M\", \"pid\": 1, \"tid\": ";
-      line += std::to_string(buffer->tid);
+      line += std::to_string(buffer.tid);
       line += ", \"name\": \"thread_name\", \"args\": {\"name\": \"";
-      line += buffer->label;  // labels are engine-generated, no escaping
+      line += buffer.label;  // labels are engine-generated, no escaping
       line += "\"}}";
       os << line;
     }
-    for (const Event& e : buffer->events) {
+    for (const Span& e : buffer.records) {
       line.clear();
       line += first ? "\n" : ",\n";
       first = false;
@@ -429,16 +384,12 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
       line += e.name;
       line += "\", \"cat\": \"";
       line += e.cat;
-      line += "\", \"ph\": \"";
-      line += e.ph;
-      line += "\", \"pid\": 1, \"tid\": ";
-      line += std::to_string(buffer->tid);
+      line += "\", \"ph\": \"X\", \"pid\": 1, \"tid\": ";
+      line += std::to_string(buffer.tid);
       line += ", \"ts\": ";
       append_number(line, static_cast<double>(e.ts_ns - t0) / 1000.0);
-      if (e.ph == 'X') {
-        line += ", \"dur\": ";
-        append_number(line, static_cast<double>(e.dur_ns) / 1000.0);
-      }
+      line += ", \"dur\": ";
+      append_number(line, static_cast<double>(e.dur_ns) / 1000.0);
       if (e.argc > 0) {
         line += ", \"args\": {";
         for (std::uint8_t i = 0; i < e.argc; ++i) {
@@ -453,7 +404,7 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
       line += '}';
       os << line;
     }
-  }
+  });
   os << "\n]}\n";
 }
 

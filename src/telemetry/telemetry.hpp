@@ -1,24 +1,20 @@
-// Telemetry: low-overhead metrics + tracing for every execution layer
-// (DESIGN.md §12).
+// Telemetry: low-overhead metrics, tracing and the one per-phase probe
+// that feeds them (DESIGN.md §12).
 //
-// Two cooperating pieces behind two independent runtime switches:
-//
+//  * sinks() — the four runtime switches (metrics, trace, the EventLog
+//    of event_log.hpp, the ProgressBoard of monitor.hpp) as bits of one
+//    word, all off at start, read in one relaxed load.
+//  * Probe — one instrumented phase: one sink read, a clock stamp only
+//    when a sink is on, and one end() call that records the phase's
+//    histogram sample, span and event, each only when its sink is on.
 //  * MetricsRegistry — named counters, per-index counters, bounded
-//    series, and fixed-bucket log-scale latency histograms. All hot-path
-//    mutation goes through cache-line-separated per-slot relaxed
-//    atomics (the same pattern as the engine's per-worker stat slots);
-//    merging happens only on read, so recording is lock-free and
-//    wait-free. Gated by telemetry::enabled().
-//  * Tracer — Chrome-trace/Perfetto span recorder. Spans carry a static
-//    name/category, nanosecond start + duration, the recording thread's
-//    stable id, and up to three numeric args. Events land in per-thread
-//    buffers (registered once, under a mutex, on each thread's first
-//    span) and are folded into one Chrome JSON document on write.
-//    Gated by Tracer::recording().
-//
-// Off contract: both switches start off, and while off each
-// instrumentation site costs one predictable relaxed-load branch and no
-// clock reads.
+//    series, and fixed-bucket log-scale latency histograms, recorded
+//    lock-free through cache-line-separated per-slot relaxed atomics
+//    and merged only on read.
+//  * Tracer — Chrome-trace/Perfetto spans (static name/category, ns
+//    start + duration, thread id, up to three numeric args), stored
+//    like the EventLog's events in a ThreadRecorder and folded into
+//    one Chrome JSON document on write.
 //
 // Naming scheme: `<layer>.<quantity>[_<unit>]` — e.g. engine.round_ns,
 // engine.shard_exchange_ns, lca.query_ns, dynamic.update_ns. Span names
@@ -32,6 +28,7 @@
 // emitting.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -47,14 +44,28 @@ namespace lps::telemetry {
 
 // ---------------------------------------------------- runtime switches --
 
+/// Sink bits of sinks(). Each owner's setter flips its bit:
+/// set_enabled, Tracer/EventLog::set_recording,
+/// ProgressBoard::set_publishing.
+enum : unsigned {
+  kMetrics = 1u << 0,
+  kTrace = 1u << 1,
+  kEvents = 1u << 2,
+  kProgress = 1u << 3,
+};
+
 namespace detail {
-extern std::atomic<bool> g_metrics_enabled;
+extern std::atomic<unsigned> g_sinks;
+void set_sink(unsigned sink, bool on) noexcept;
+}  // namespace detail
+
+/// The sinks that are on: one relaxed load.
+inline unsigned sinks() noexcept {
+  return detail::g_sinks.load(std::memory_order_relaxed);
 }
-/// Master switch for metric recording and phase timing. One relaxed
-/// load; hot paths branch on it once per phase.
-inline bool enabled() noexcept {
-  return detail::g_metrics_enabled.load(std::memory_order_relaxed);
-}
+
+/// Whether metric recording is on.
+inline bool enabled() noexcept { return (sinks() & kMetrics) != 0; }
 
 /// Turn metric recording on/off.
 void set_enabled(bool on) noexcept;
@@ -224,7 +235,6 @@ class MetricsRegistry {
   Series& series(const std::string& name);
 
   std::vector<std::pair<std::string, std::uint64_t>> counters() const;
-  std::vector<std::pair<std::string, HistogramSnapshot>> histograms() const;
 
   /// Zero every instrument (names and references stay valid).
   void reset();
@@ -260,7 +270,7 @@ struct EngineMetrics {
   static EngineMetrics& get();
 };
 
-// --------------------------------------------------------------- tracer --
+// ---------------------------------------------------------------- probe --
 
 /// One numeric span argument. Keys must be string literals (stored by
 /// pointer).
@@ -269,23 +279,157 @@ struct Arg {
   double value;
 };
 
+/// The closed event vocabulary, defined in event_log.hpp.
+enum class EventKind : std::uint8_t;
+
+/// The event a phase records when it ends (the probe stamps its ns).
+struct PhaseEvent {
+  EventKind kind;
+  std::uint64_t round;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::uint64_t c = 0;
+};
+
+/// One instrumented phase: the only way code outside src/telemetry
+/// times work. Construction reads the sinks (or takes an earlier read,
+/// so a round's phases share the round's one load) and stamps the clock
+/// only when one is on; end() records the phase's histogram sample, its
+/// span and its event in one call, each only when its sink is on.
+class Probe {
+ public:
+  explicit Probe(unsigned on = telemetry::sinks()) noexcept
+      : on_(on), t0_(on != 0 ? now_ns() : 0) {}
+  /// Start where an earlier phase ended (its end() stamp): no clock read.
+  Probe(unsigned on, std::uint64_t start_ns) noexcept
+      : on_(on), t0_(start_ns) {}
+
+  /// The sinks this probe read; pass them on to nested phases.
+  unsigned sinks() const noexcept { return on_; }
+  bool on(unsigned sink) const noexcept { return (on_ & sink) != 0; }
+  std::uint64_t start_ns() const noexcept { return t0_; }
+
+  /// Nanoseconds since the start, 0 when every sink is off.
+  std::uint64_t elapsed_ns() const noexcept {
+    return on_ != 0 ? now_ns() - t0_ : 0;
+  }
+
+  /// End the phase: a `hist` sample of its duration, a `span`/`cat`
+  /// span with `args`, and `event`. A null hist or span records none.
+  /// Returns the end stamp, 0 when every sink is off.
+  std::uint64_t end(Histogram* hist, const char* span = nullptr,
+                    const char* cat = nullptr,
+                    std::initializer_list<Arg> args = {}) const {
+    return on_ != 0 ? finish(hist, span, cat, args, nullptr) : 0;
+  }
+  std::uint64_t end(Histogram* hist, const char* span, const char* cat,
+                    std::initializer_list<Arg> args,
+                    const PhaseEvent& event) const {
+    return on_ != 0 ? finish(hist, span, cat, args, &event) : 0;
+  }
+
+ private:
+  std::uint64_t finish(Histogram* hist, const char* span, const char* cat,
+                       std::initializer_list<Arg> args,
+                       const PhaseEvent* event) const;
+
+  unsigned on_;
+  std::uint64_t t0_;
+};
+
+// -------------------------------------------------------------- recorder --
+
+/// Per-thread record buffers under one process-wide cap (default 1M;
+/// pushes past it are dropped and counted): the Tracer's spans and the
+/// EventLog's events. A thread registers its buffer once, under the
+/// mutex, and caches it in a thread_local: buffers are never freed and
+/// each record type has one recorder, owned by a leaked singleton.
+/// Reads merge under the mutex; reset() must only run while no other
+/// thread pushes.
+template <typename T>
+class ThreadRecorder {
+ public:
+  struct Buffer {
+    std::uint32_t tid = 0;  // registration order: the trace's tid
+    std::string label;      // empty = unnamed
+    std::vector<T> records;
+  };
+
+  void push(const T& record) {
+    if (total_.fetch_add(1, std::memory_order_relaxed) >=
+        capacity_.load(std::memory_order_relaxed)) {
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    local().records.push_back(record);
+  }
+
+  /// Label the calling thread's buffer, registering it if need be.
+  void set_label(const std::string& label) {
+    Buffer& buf = local();
+    std::lock_guard<std::mutex> lock(mutex_);
+    buf.label = label;
+  }
+
+  /// Drop every record (buffers stay registered).
+  void reset() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto& buf : buffers_) buf->records.clear();
+    total_.store(0, std::memory_order_relaxed);
+    dropped_.store(0, std::memory_order_relaxed);
+  }
+  void set_capacity(std::size_t max_records) noexcept {
+    capacity_.store(max_records, std::memory_order_relaxed);
+  }
+  std::size_t size() const noexcept {
+    const std::size_t total = total_.load(std::memory_order_relaxed);
+    return total - std::min(total, dropped());
+  }
+  std::size_t dropped() const noexcept {
+    return dropped_.load(std::memory_order_relaxed);
+  }
+
+  /// Call f(buffer) on every buffer, in registration order, under the
+  /// mutex.
+  template <typename F>
+  void for_each(F&& f) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& buf : buffers_) f(*buf);
+  }
+
+ private:
+  Buffer& local() {
+    thread_local Buffer* buf = nullptr;
+    if (buf == nullptr) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      buffers_.push_back(std::make_unique<Buffer>());
+      buf = buffers_.back().get();
+      buf->tid = static_cast<std::uint32_t>(buffers_.size() - 1);
+    }
+    return *buf;
+  }
+
+  std::atomic<std::size_t> total_{0};
+  std::atomic<std::size_t> dropped_{0};
+  std::atomic<std::size_t> capacity_{1u << 20};
+  mutable std::mutex mutex_;
+  std::vector<std::unique_ptr<Buffer>> buffers_;
+};
+
+// --------------------------------------------------------------- tracer --
+
 class Tracer {
  public:
   static Tracer& global();
 
-  bool recording() const noexcept {
-    return recording_.load(std::memory_order_relaxed);
-  }
+  bool recording() const noexcept { return (sinks() & kTrace) != 0; }
   /// Start/stop span collection. Starting
   /// does NOT clear prior events; call reset() for a fresh trace.
   void set_recording(bool on) noexcept;
 
-  /// Drop all recorded events (buffers stay registered). Only call
-  /// while no other thread is emitting.
-  void reset();
-  /// Event cap across all threads; beyond it events are dropped and
-  /// counted. Default 1M.
-  void set_capacity(std::size_t max_events);
+  /// Drop all recorded events (buffers stay registered); the cap is 1M
+  /// events. Only call while no other thread is emitting.
+  void reset() { spans_.reset(); }
 
   /// Copy a dynamic string into tracer-owned storage, returning a
   /// pointer usable as a span name/category for the tracer's lifetime.
@@ -294,18 +438,16 @@ class Tracer {
   /// Label the calling thread in the exported trace ("worker-3").
   /// Registers the thread's buffer even while not recording, so labels
   /// set at thread spawn survive into later traces.
-  void set_thread_label(const std::string& label);
+  void set_thread_label(const std::string& label) { spans_.set_label(label); }
 
-  /// Record a complete span ("ph":"X"). `name` and `cat` must outlive
-  /// the tracer (string literals or intern()ed). At most 3 args kept.
+  /// Record a complete span ("ph":"X") while recording(). `name` and
+  /// `cat` must outlive the tracer (string literals or intern()ed). At
+  /// most 3 args kept.
   void emit(const char* name, const char* cat, std::uint64_t ts_ns,
             std::uint64_t dur_ns, std::initializer_list<Arg> args = {});
-  /// Record an instant event ("ph":"i").
-  void instant(const char* name, const char* cat,
-               std::initializer_list<Arg> args = {});
 
-  std::size_t events() const noexcept;
-  std::size_t dropped() const noexcept;
+  std::size_t events() const noexcept { return spans_.size(); }
+  std::size_t dropped() const noexcept { return spans_.dropped(); }
 
   /// Fold all buffers into one Chrome-trace JSON document
   /// (Perfetto-loadable: {"traceEvents": [...], ...}; ts/dur in
@@ -315,32 +457,23 @@ class Tracer {
   bool write_chrome_trace(const std::string& path) const;
 
  private:
-  struct Event {
+  friend class Probe;
+  struct Span {
     const char* name;
     const char* cat;
     std::uint64_t ts_ns;
     std::uint64_t dur_ns;
-    char ph;  // 'X' or 'i'
     std::uint8_t argc;
     std::array<Arg, 3> args;
   };
-  struct Buffer {
-    std::uint32_t tid = 0;
-    std::string label;
-    std::vector<Event> events;
-  };
 
   Tracer() = default;
-  Buffer& local_buffer();
-  void push(const char* name, const char* cat, std::uint64_t ts_ns,
-            std::uint64_t dur_ns, char ph, std::initializer_list<Arg> args);
+  /// emit() without the recording() check (a Probe has read it).
+  void record(const char* name, const char* cat, std::uint64_t ts_ns,
+              std::uint64_t dur_ns, std::initializer_list<Arg> args);
 
-  std::atomic<bool> recording_{false};
-  std::atomic<std::size_t> total_{0};
-  std::atomic<std::size_t> dropped_{0};
-  std::atomic<std::size_t> capacity_{1u << 20};
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<Buffer>> buffers_;
+  ThreadRecorder<Span> spans_;
+  std::mutex intern_mutex_;
   std::vector<std::unique_ptr<std::string>> interned_;
 };
 

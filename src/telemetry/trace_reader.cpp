@@ -244,6 +244,7 @@ class Parser {
     if (!digits) return fail("bad number");
     out.kind = JsonValue::Kind::Number;
     out.number = std::strtod(text_.c_str() + start, nullptr);
+    if (!std::isfinite(out.number)) return fail("number out of range");
     return true;
   }
 
@@ -287,10 +288,12 @@ bool load_chrome_trace(const std::string& text, TraceDoc& out,
       return structural_fail(error, where + " missing name");
     }
     const JsonValue* tid = e.find("tid");
-    const std::uint32_t tid_v =
-        (tid != nullptr && tid->is_number())
-            ? static_cast<std::uint32_t>(tid->number)
-            : 0;
+    if (tid != nullptr && !(tid->is_number() && is_count(tid->number) &&
+                            tid->number <= UINT32_MAX)) {
+      return structural_fail(error, where + " tid is not a thread id");
+    }
+    const auto tid_v =
+        tid != nullptr ? static_cast<std::uint32_t>(tid->number) : 0;
     if (ph->string == "M") {
       if (name->string == "thread_name") {
         const JsonValue* args = e.find("args");

@@ -5,6 +5,7 @@
 // malformed instead of guessing.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -32,9 +33,16 @@ struct JsonValue {
   const JsonValue* find(const std::string& key) const noexcept;
 };
 
+/// Whether v is a non-negative integer no larger than 2^53 (so exact in
+/// a double): the only valid shape of an id, count, round or ns stamp.
+inline bool is_count(double v) noexcept {
+  return v >= 0.0 && v <= 0x1p53 && v == std::floor(v);
+}
+
 /// Parse a complete JSON document. Returns false (with a position +
 /// message in *error when non-null) on any syntax violation, including
-/// trailing garbage after the top-level value.
+/// trailing garbage after the top-level value and a number that
+/// overflows a double.
 bool parse_json(const std::string& text, JsonValue& out,
                 std::string* error = nullptr);
 

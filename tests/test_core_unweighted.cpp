@@ -125,12 +125,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LubySweep,
                          ::testing::Values(2u, 3u, 5u, 7u, 11u));
 
 TEST(Luby, IsolatedVerticesAllSelected) {
-  const MisResult res = luby_mis(Graph(7, {}), {.seed = 1});
+  MisOptions opts;
+  opts.seed = 1;
+  const MisResult res = luby_mis(Graph(7, {}), opts);
   for (char c : res.in_mis) EXPECT_TRUE(c);
 }
 
 TEST(Luby, CompleteGraphSelectsExactlyOne) {
-  const MisResult res = luby_mis(complete_graph(20), {.seed = 9});
+  MisOptions opts;
+  opts.seed = 9;
+  const MisResult res = luby_mis(complete_graph(20), opts);
   int count = 0;
   for (char c : res.in_mis) count += c;
   EXPECT_EQ(count, 1);

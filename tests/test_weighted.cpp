@@ -252,14 +252,18 @@ TEST(ClassMwm, SingleClassEqualsMaximalMatchingWeightwise) {
   Graph g = cycle_graph(10);
   std::vector<double> w(g.num_edges(), 3.0);
   const WeightedGraph wg = make_weighted(std::move(g), std::move(w));
-  const ClassMwmResult res = class_mwm(wg, {.seed = 4});
+  ClassMwmOptions opts;
+  opts.seed = 4;
+  const ClassMwmResult res = class_mwm(wg, opts);
   EXPECT_EQ(res.num_classes, 1u);
   EXPECT_TRUE(is_maximal_matching(wg.graph, res.matching));
 }
 
 TEST(ClassMwm, EmptyGraph) {
   const WeightedGraph wg{Graph(3, {}), {}};
-  const ClassMwmResult res = class_mwm(wg, {.seed = 1});
+  ClassMwmOptions opts;
+  opts.seed = 1;
+  const ClassMwmResult res = class_mwm(wg, opts);
   EXPECT_EQ(res.matching.size(), 0u);
 }
 

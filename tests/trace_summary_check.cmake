@@ -109,3 +109,37 @@ expect_code(1 --check --events "${workdir}/events_unsorted.jsonl")
 # Non-JSON line.
 file(WRITE "${workdir}/events_garbage.jsonl" "not json\n")
 expect_code(1 --check --events "${workdir}/events_garbage.jsonl")
+
+# --------------------------------------------- malformed numbers --
+# A trace number that overflows a double (non-finite dur), in both
+# modes.
+file(WRITE "${workdir}/inf_dur.json"
+"{\"traceEvents\": [{\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"dur\":1e400}]}
+")
+expect_code(1 --check "${workdir}/inf_dur.json")
+expect_code(1 "${workdir}/inf_dur.json")
+
+# A negative shard arg: the report would fold it into shard 2^64-3.
+file(WRITE "${workdir}/neg_shard.json"
+"{\"traceEvents\": [{\"name\":\"engine.exchange.p2\",\"cat\":\"engine\",\"ph\":\"X\",\"ts\":0,\"dur\":1,\"args\":{\"shard\":-3,\"round\":0}}]}
+")
+expect_code(1 --check "${workdir}/neg_shard.json")
+expect_code(1 "${workdir}/neg_shard.json")
+
+# Event-log stamps and payloads must be non-negative integers <= 2^53.
+file(WRITE "${workdir}/events_inf_ns.jsonl"
+"{\"ev\":\"round\",\"round\":1,\"ns\":1e400,\"delivered\":1,\"sent\":1,\"stepped\":1}
+")
+expect_code(1 --check --events "${workdir}/events_inf_ns.jsonl")
+
+file(WRITE "${workdir}/events_frac_round.jsonl"
+"{\"ev\":\"round\",\"round\":0.5,\"ns\":100,\"delivered\":1,\"sent\":1,\"stepped\":1}
+")
+expect_code(1 --check --events "${workdir}/events_frac_round.jsonl")
+
+file(WRITE "${workdir}/events_neg_vertex.jsonl"
+"{\"ev\":\"crash\",\"round\":1,\"ns\":100,\"vertex\":-1,\"epoch\":1}
+{\"ev\":\"revive\",\"round\":2,\"ns\":200,\"vertex\":-1,\"epoch\":2}
+")
+expect_code(1 --check --events "${workdir}/events_neg_vertex.jsonl")
+expect_code(1 --events "${workdir}/events_neg_vertex.jsonl")

@@ -10,17 +10,19 @@
 //   trace_summary --check --events ev.jsonl  # validate; also enforces
 //                                       # crash/revive pairing
 //
-// --check accepts any well-formed Chrome trace; the report additionally
-// understands the engine span taxonomy (engine.round / engine.exchange.p2
-// with shard args) when present. Event-log validation enforces the
-// closed vocabulary of telemetry/event_log.hpp, non-decreasing ns
-// stamps, and — the recovery invariant — that every `crash` vertex has
-// a later `revive`.
+// Both trace modes first validate the document: well-formed Chrome
+// JSON with finite, non-negative ts/dur, non-empty names, and `shard` /
+// `round` args that are non-negative integers ≤ 2^53. The report
+// additionally understands the engine span taxonomy (engine.round /
+// engine.exchange.p2 with shard args) when present. Event-log
+// validation enforces the closed vocabulary of telemetry/event_log.hpp,
+// integer `round`/`ns` and payload fields (the same ≤ 2^53 bound),
+// non-decreasing ns stamps, and — the recovery invariant — that every
+// `crash` vertex has a later `revive`.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,7 @@
 
 namespace {
 
+using lps::telemetry::is_count;
 using lps::telemetry::TraceDoc;
 using lps::telemetry::TraceSpan;
 
@@ -118,24 +121,31 @@ int report(const TraceDoc& doc, const std::string& path) {
   return 0;
 }
 
-int check(const TraceDoc& doc, const std::string& path) {
-  // Structure already validated by the loader; enforce the invariants
-  // the writer guarantees on top of bare well-formedness.
+/// Structure is already validated by the loader (which also rejects
+/// non-finite numbers); enforce the invariants the writer guarantees on
+/// top of bare well-formedness. False after printing a diagnostic.
+bool validate(const TraceDoc& doc, const std::string& path) {
   for (std::size_t i = 0; i < doc.spans.size(); ++i) {
     const TraceSpan& s = doc.spans[i];
+    const char* bad = nullptr;
     if (s.ts_us < 0.0 || (s.ph == 'X' && s.dur_us < 0.0)) {
-      std::fprintf(stderr, "trace_summary: %s: event %zu has negative ts/dur\n",
-                   path.c_str(), i);
-      return 1;
+      bad = "has negative ts/dur";
+    } else if (s.name.empty()) {
+      bad = "has empty name";
     }
-    if (s.name.empty()) {
-      std::fprintf(stderr, "trace_summary: %s: event %zu has empty name\n",
-                   path.c_str(), i);
-      return 1;
+    for (const char* key : {"shard", "round"}) {
+      const auto it = s.args.find(key);
+      if (bad == nullptr && it != s.args.end() && !is_count(it->second)) {
+        bad = "has a shard/round arg that is not a non-negative integer";
+      }
+    }
+    if (bad != nullptr) {
+      std::fprintf(stderr, "trace_summary: %s: event %zu %s\n", path.c_str(),
+                   i, bad);
+      return false;
     }
   }
-  std::printf("%s: ok (%zu events)\n", path.c_str(), doc.spans.size());
-  return 0;
+  return true;
 }
 
 /// Validate (and optionally summarize) an event-log JSONL file. Exit
@@ -146,10 +156,11 @@ int events_mode(const std::string& path, bool check_only) {
     std::fprintf(stderr, "trace_summary: cannot open '%s'\n", path.c_str());
     return 1;
   }
-  std::set<std::string> known;
+  // Wire name -> kind, for the closed vocabulary and its payload names.
+  std::map<std::string, lps::telemetry::EventKind> known;
   for (unsigned k = 0; k < lps::telemetry::kEventKinds; ++k) {
-    known.insert(lps::telemetry::event_kind_name(
-        static_cast<lps::telemetry::EventKind>(k)));
+    const auto kind = static_cast<lps::telemetry::EventKind>(k);
+    known.emplace(lps::telemetry::event_kind_name(kind), kind);
   }
 
   std::map<std::string, std::size_t> counts;
@@ -192,10 +203,24 @@ int events_mode(const std::string& path, bool check_only) {
                    path.c_str(), line_no, ev->string.c_str());
       return 1;
     }
-    if (ns->number < 0.0 || round->number < 0.0) {
-      std::fprintf(stderr, "trace_summary: %s:%zu: negative ns/round\n",
+    if (!is_count(ns->number) || !is_count(round->number)) {
+      std::fprintf(stderr,
+                   "trace_summary: %s:%zu: ns/round is not a non-negative "
+                   "integer <= 2^53\n",
                    path.c_str(), line_no);
       return 1;
+    }
+    for (const char* slot :
+         lps::telemetry::event_arg_names(known.at(ev->string))) {
+      const lps::telemetry::JsonValue* field =
+          slot != nullptr ? v.find(slot) : nullptr;
+      if (field != nullptr && !(field->is_number() && is_count(field->number))) {
+        std::fprintf(stderr,
+                     "trace_summary: %s:%zu: %s is not a non-negative "
+                     "integer <= 2^53\n",
+                     path.c_str(), line_no, slot);
+        return 1;
+      }
     }
     if (ns->number < prev_ns) {
       std::fprintf(stderr,
@@ -217,6 +242,7 @@ int events_mode(const std::string& path, bool check_only) {
                      path.c_str(), line_no, ev->string.c_str());
         return 1;
       }
+      // A count: the payload check above vetted the vertex field.
       const auto vid = static_cast<std::uint64_t>(vert->number);
       down[vid] += ev->string == "crash" ? 1 : -1;
       if (down[vid] < 0) {
@@ -296,5 +322,8 @@ int main(int argc, char** argv) {
                  error.c_str());
     return 1;
   }
-  return check_only ? check(doc, path) : report(doc, path);
+  if (!validate(doc, path)) return 1;
+  if (!check_only) return report(doc, path);
+  std::printf("%s: ok (%zu events)\n", path.c_str(), doc.spans.size());
+  return 0;
 }
