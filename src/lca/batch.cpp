@@ -74,7 +74,8 @@ namespace {
 /// span tagged with the oracle's probe delta (no event, so the event
 /// and progress sinks are masked off).
 struct QueryProbe {
-  unsigned sinks = telemetry::sinks() & (telemetry::kMetrics | telemetry::kTrace);
+  unsigned sinks =
+      telemetry::sinks() & (telemetry::kMetrics | telemetry::kTrace);
   telemetry::Histogram& query_ns =
       telemetry::MetricsRegistry::global().histogram("lca.query_ns");
 

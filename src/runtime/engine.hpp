@@ -932,14 +932,13 @@ class SyncNetwork {
       }
       const auto sh = static_cast<double>(s);
       const auto rd = static_cast<double>(round_);
-      const Probe sort(
-          sinks, p2.end(&metrics_.exchange_p2_ns, "engine.exchange.p2",
-                        "engine",
-                        {{"shard", sh},
-                         {"round", rd},
-                         {"msgs", static_cast<double>(se - sb)}},
-                        {EventKind::kExchange, round_, /*phase=*/2, s,
-                         se - sb}));
+      const std::uint64_t t_p2 = p2.end(
+          &metrics_.exchange_p2_ns, "engine.exchange.p2", "engine",
+          {{"shard", sh},
+           {"round", rd},
+           {"msgs", static_cast<double>(se - sb)}},
+          {EventKind::kExchange, round_, /*phase=*/2, s, se - sb});
+      const Probe sort(sinks, t_p2);  // starts where phase 2 ended
       for (const NodeId v : act) {
         const InboxMeta& im = inbox_meta_[v];
         if (im.stamp == tag) sort_inbox(im.off, im.cnt, with_seq);

@@ -214,7 +214,8 @@ int events_mode(const std::string& path, bool check_only) {
          lps::telemetry::event_arg_names(known.at(ev->string))) {
       const lps::telemetry::JsonValue* field =
           slot != nullptr ? v.find(slot) : nullptr;
-      if (field != nullptr && !(field->is_number() && is_count(field->number))) {
+      if (field != nullptr &&
+          !(field->is_number() && is_count(field->number))) {
         std::fprintf(stderr,
                      "trace_summary: %s:%zu: %s is not a non-negative "
                      "integer <= 2^53\n",
