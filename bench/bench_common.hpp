@@ -11,7 +11,6 @@
 #include "graph/generators.hpp"
 #include "graph/matching.hpp"
 #include "graph/weights.hpp"
-#include "seq/greedy.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
@@ -66,12 +65,6 @@ inline std::string fmt(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
   return buf;
-}
-
-/// Certified upper bound on w(M*) usable at any scale: the greedy
-/// matching is a 1/2-MWM, so w(M*) <= 2 * w(greedy).
-inline double mwm_upper_bound(const WeightedGraph& wg) {
-  return 2.0 * greedy_mwm(wg).weight(wg);
 }
 
 }  // namespace lps::bench

@@ -7,6 +7,7 @@
 // weighted graphs.
 #include "bench/bench_common.hpp"
 #include "core/gain.hpp"
+#include "seq/greedy.hpp"
 #include "tests/helpers.hpp"
 
 using namespace lps;

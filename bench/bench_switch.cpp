@@ -8,7 +8,8 @@
 // normalized throughput, mean delay, p99 delay, mean queue occupancy.
 // Expected shape: MaxWeight/MaxSize oracles stable everywhere; PIM,
 // iSLIP and DistMCM close at uniform loads; greedy and low-iteration
-// PIM degrade first under high/asymmetric load.
+// PIM degrade first under high/asymmetric load. PIM-1/2/4/8 ablate the
+// iteration count: O(log N) iterations converge (Anderson et al. [3]).
 #include <memory>
 
 #include "bench/bench_common.hpp"
@@ -37,7 +38,9 @@ int main(int argc, char** argv) {
       };
       std::vector<Entry> entries;
       entries.push_back({"PIM-1", std::make_unique<PimScheduler>(1, 1)});
+      entries.push_back({"PIM-2", std::make_unique<PimScheduler>(2, 1)});
       entries.push_back({"PIM-4", std::make_unique<PimScheduler>(4, 1)});
+      entries.push_back({"PIM-8", std::make_unique<PimScheduler>(8, 1)});
       entries.push_back({"iSLIP-4", std::make_unique<IslipScheduler>(4)});
       entries.push_back({"Greedy-LQF", std::make_unique<GreedyScheduler>()});
       entries.push_back(

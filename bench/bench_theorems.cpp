@@ -1,14 +1,17 @@
 // Experiment suite THEOREMS — the paper's headline claims (Theorems
-// 3.1, 3.8, 3.11, 4.5 and the Section 1 baseline positioning), driven
-// from one declarative table over the api runner. Each row is
-// (experiment, workload, generator spec, solver name, config, trials);
-// the runner owns instance construction, oracle resolution, and JSON
-// emission, so adding a scenario or algorithm is a table row, not a new
-// driver. Replaces the former bench_baselines, bench_t31_generic,
-// bench_t38_bipartite, bench_t311_general, and bench_t45_weighted.
+// 3.1, 3.8, 3.11, 4.5, the Section 4 Remark, the Section 1 baselines),
+// their scaling sweeps, the KMW locality phenomenon and the design
+// ablations, from one declarative table over the api runner. An entry
+// holds an experiment's rounds normalization, progress metric, row note
+// and rows of (workload, generator spec, solver, config, trials); the
+// runner owns instances, oracles, the validity audit and JSON, so a new
+// scenario is a table row, not a new driver. Exits 1 on any invalid
+// matching.
 //
 //   ./bench_theorems [--trials 3] [--filter T3.8] [--json-dir bench/out]
 //                    [--json false]
+#include <array>
+#include <cmath>
 #include <exception>
 #include <string>
 #include <vector>
@@ -20,173 +23,358 @@ using namespace lps;
 
 namespace {
 
+using bench::fmt;
+
 struct Row {
-  const char* experiment;
   const char* workload;   // display label
   const char* generator;  // api::make_instance spec
   const char* solver;     // registry name
   const char* config;     // solver config kv list
   int trials;             // 0 = --trials
   bool feed_oracle;       // pass the exact optimum to the solver
-  std::uint64_t fixed_seed;  // 0 = per-row seeds; else shared instance
+  /// 0 = per-row seeds; else the instance seed shared by the rows and
+  /// trials (the solver seed still varies by trial).
+  std::uint64_t fixed_seed;
 };
+
+/// One row's measurements over its trials.
+struct Trials {
+  StreamingStats ratio, rounds, per_claim, progress, wall, edges;
+  std::uint64_t max_bits = 0;
+  std::size_t n = 0;
+  double guarantee = 0.0;
+  double paper_budget = 0.0;  // Algorithm 4's 2^{2k+1}(k+1) ln k
+  int maximal = 0;            // runs whose matching is maximal
+  std::string violation;      // invariant audit failure ("" = none)
+  bool valid = true;
+};
+
+/// The progress column: its header and the metrics it averages (the
+/// first one the solver reports).
+struct Progress {
+  const char* column;
+  std::array<const char*, 3> metrics;
+};
+
+/// Algorithm 4/5 iterations, the Aug engine's iterations, or the phase
+/// count (generic_mcm, local_mwm).
+constexpr Progress kIterations{"iters/phases (mean)",
+                               {"iterations", "aug_iterations", "phases"}};
+constexpr Progress kClasses{"classes (mean)", {"num_classes"}};
+
+// Rounds normalizations: the claimed round budget, so the table can
+// print rounds/claim — flat across n is the scaling evidence.
+
+/// Theorem 3.1's O(eps^-3 log n) and the O(log n) sweeps.
+double log_n(const api::RunResult& res) {
+  return std::log2(static_cast<double>(res.n) + 2.0);
+}
+
+/// Hoepman's Theta(n) on the increasing path.
+double linear_n(const api::RunResult& res) {
+  return static_cast<double>(res.n);
+}
+
+/// Theorem 3.8: O(k^3 log Delta + k^2 log n).
+double theorem38_budget(const api::RunResult& res) {
+  const double k = static_cast<double>(
+      api::SolverConfig::parse(res.spec.config).get_int("k", 3));
+  const double logd = std::log2(static_cast<double>(res.max_degree) + 2.0);
+  return k * k * k * logd + k * k * log_n(res);
+}
+
+/// Theorem 4.5: O(log(1/eps) log n).
+double theorem45_budget(const api::RunResult& res) {
+  const double eps =
+      api::SolverConfig::parse(res.spec.config).get_double("eps", 0.1);
+  return std::log(1.0 / eps) * log_n(res);
+}
+
+// Row notes.
+
+/// Algorithm 4: the paper-mode iteration budget next to the adaptive
+/// iterations actually used.
+std::string paper_budget_note(const Trials& t) {
+  return t.paper_budget > 0 ? "paper budget " + fmt(t.paper_budget, 0)
+                            : std::string();
+}
+
+std::string invariants_note(const Trials&) { return "invariants ok"; }
+
+/// The Lemma 4.3 floor the ratio must clear, (1 - e^{-2 delta i/3}) / 2
+/// with delta = 1/5 at i iterations.
+std::string lemma43_floor_note(const Trials& t) {
+  if (t.progress.count() == 0) return "";
+  return "L4.3 floor " +
+         fmt(0.5 * (1.0 - std::exp(-2.0 * 0.2 * t.progress.mean() / 3.0)),
+             4);
+}
+
+std::string maximal_runs_note(const Trials& t) {
+  return std::to_string(t.maximal) + "/" +
+         std::to_string(t.rounds.count()) + " maximal";
+}
 
 struct Experiment {
   const char* key;
   const char* title;
   const char* claim;
+  double (*round_claim)(const api::RunResult&) = nullptr;  // none
+  Progress progress = kIterations;
+  std::string (*note)(const Trials&) = paper_budget_note;
+  /// A solver's invariant violation (std::logic_error) becomes the row
+  /// note instead of aborting the run.
+  bool audits_invariants = false;
+  std::vector<Row> rows;
 };
 
 const Experiment kExperiments[] = {
-    {"BASE.a",
-     "BASE.a: unweighted algorithms on shared workloads",
-     "Israeli-Itai [15] guarantees 1/2 in O(log n) rounds; Theorems "
-     "3.1/3.8/3.11 push the guarantee to 1-eps in the same asymptotic "
-     "budget"},
-    {"BASE.b",
-     "BASE.b: weighted algorithms on shared workloads",
-     "greedy is 1/2 sequentially; Theorem 4.5 achieves (1/2-eps) "
-     "distributedly; the greedy-trap instance separates them from naive "
-     "local choices"},
-    {"T3.1",
-     "T3.1: generic (1-eps)-MCM, Erdos-Renyi sweep",
-     "(1-eps)-MCM in O(eps^-3 log n) rounds w.h.p., messages O(|V|+|E|) "
-     "bits [LOCAL]"},
-    {"T3.1-inv",
-     "T3.1.b: Lemma 3.4 invariant audit",
-     "after phase l, the shortest augmenting path exceeds l (the solver "
-     "throws if the exact bounded-path oracle finds one)"},
-    {"T3.8",
-     "T3.8: bipartite CONGEST engine, random bipartite sweep",
-     "(1-1/k)-MCM in O(k^3 log Delta + k^2 log n) rounds, O(log Delta)-"
-     "bit messages; contrast max-msg-bits with the LOCAL T3.1 column"},
-    {"T3.11",
-     "T3.11: Algorithm 4 on general graphs",
-     "(1-1/k)-MCM w.h.p. via random bipartition; iteration budget "
-     "2^{2k+1}(k+1) ln k (paper) vs adaptive certified stopping"},
-    {"T3.11-prog",
-     "T3.11.b: Lemma 3.9 progress per iteration",
-     "the gap to (1-1/(k+1))|M*| decays geometrically with the paper-"
-     "mode iteration count (shared instance across rows)"},
-    {"T4.5",
-     "T4.5.a: Algorithm 5 ratio sweep",
-     "w(M) >= (1/2 - eps) w(M*) in O(log(1/eps) log n) rounds; at scale "
-     "the ratio is certified against the 2x-greedy upper bound"},
-    {"T4.5-conv",
-     "T4.5.b: Lemma 4.3 convergence curve",
-     "w(M_i) >= (1 - e^{-2 delta i/3}) w(M*)/2: the ratio column climbs "
-     "with the iteration cap (shared instance across rows)"},
-    {"T4.5-delta",
-     "T4.5.c: measured delta of the class-based black box",
-     "the stand-in for [18] must deliver a constant delta; the paper "
-     "plugs in delta = 1/5 (ratio column = measured delta)"},
+    {.key = "BASE.a",
+     .title = "BASE.a: unweighted algorithms on shared workloads",
+     .claim = "Israeli-Itai [15] guarantees 1/2 in O(log n) rounds; "
+              "Theorems 3.1/3.8/3.11 push the guarantee to 1-eps in the "
+              "same asymptotic budget",
+     .rows = {
+         {"ER n=128 deg4", "er:n=128,deg=4", "israeli_itai", "", 0, false, 0},
+         {"ER n=128 deg4", "er:n=128,deg=4", "generic_mcm", "eps=0.34", 0, false, 0},
+         {"ER n=128 deg4", "er:n=128,deg=4", "general_mcm", "k=3", 0, true, 0},
+         {"bip n=128 deg4", "bipartite:nx=64,ny=64,deg=4", "israeli_itai", "", 0, false, 0},
+         {"bip n=128 deg4", "bipartite:nx=64,ny=64,deg=4", "generic_mcm", "eps=0.34", 0, false, 0},
+         {"bip n=128 deg4", "bipartite:nx=64,ny=64,deg=4", "bipartite_mcm", "k=3", 0, false, 0},
+         {"bip n=128 deg4", "bipartite:nx=64,ny=64,deg=4", "general_mcm", "k=3", 0, true, 0},
+         {"grid 12x12", "grid:rows=12,cols=12", "israeli_itai", "", 0, false, 0},
+         {"grid 12x12", "grid:rows=12,cols=12", "generic_mcm", "eps=0.34", 0, false, 0},
+         {"grid 12x12", "grid:rows=12,cols=12", "bipartite_mcm", "k=3", 0, false, 0},
+         {"grid 12x12", "grid:rows=12,cols=12", "general_mcm", "k=3", 0, true, 0},
+     }},
+    {.key = "BASE.b",
+     .title = "BASE.b: weighted algorithms on shared workloads",
+     .claim = "greedy is 1/2 sequentially; Theorem 4.5 achieves (1/2-eps) "
+              "distributedly; the greedy-trap instance separates them from "
+              "naive local choices",
+     .rows = {
+         // increasing_path is the Theta(n)-round worst case for Hoepman's
+         // deterministic protocol (contrast with class_mwm's O(log n)).
+         {"increasing path n=64", "increasing_path:n=64", "hoepman_mwm", "", 1, false, 0},
+         {"increasing path n=64", "increasing_path:n=64", "class_mwm", "", 1, false, 0},
+         {"bip ER n=128 w~U[1,100]", "bipartite:nx=64,ny=64,deg=6,w=uniform,wlo=1,whi=100", "greedy_mwm", "", 0, false, 0},
+         {"bip ER n=128 w~U[1,100]", "bipartite:nx=64,ny=64,deg=6,w=uniform,wlo=1,whi=100", "hoepman_mwm", "", 0, false, 0},
+         {"bip ER n=128 w~U[1,100]", "bipartite:nx=64,ny=64,deg=6,w=uniform,wlo=1,whi=100", "class_mwm", "", 0, false, 0},
+         {"bip ER n=128 w~U[1,100]", "bipartite:nx=64,ny=64,deg=6,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.05", 0, false, 0},
+         {"greedy trap x16", "greedy_trap:gadgets=16,eps=0.001", "greedy_mwm", "", 0, false, 0},
+         {"greedy trap x16", "greedy_trap:gadgets=16,eps=0.001", "hoepman_mwm", "", 0, false, 0},
+         {"greedy trap x16", "greedy_trap:gadgets=16,eps=0.001", "class_mwm", "", 0, false, 0},
+         {"greedy trap x16", "greedy_trap:gadgets=16,eps=0.001", "weighted_mwm", "eps=0.05", 0, false, 0},
+     }},
+    {.key = "T3.1",
+     .title = "T3.1: generic (1-eps)-MCM, Erdos-Renyi sweep",
+     .claim = "(1-eps)-MCM in O(eps^-3 log n) rounds w.h.p., messages "
+              "O(|V|+|E|) bits [LOCAL]",
+     .round_claim = log_n,
+     .rows = {
+         {"ER n=32 deg4", "er:n=32,deg=4", "generic_mcm", "eps=0.5", 0, false, 0},
+         {"ER n=32 deg4", "er:n=32,deg=4", "generic_mcm", "eps=0.34", 0, false, 0},
+         {"ER n=64 deg4", "er:n=64,deg=4", "generic_mcm", "eps=0.5", 0, false, 0},
+         {"ER n=64 deg4", "er:n=64,deg=4", "generic_mcm", "eps=0.34", 0, false, 0},
+         {"ER n=128 deg4", "er:n=128,deg=4", "generic_mcm", "eps=0.5", 0, false, 0},
+         {"ER n=128 deg4", "er:n=128,deg=4", "generic_mcm", "eps=0.34", 0, false, 0},
+         {"ER n=256 deg4", "er:n=256,deg=4", "generic_mcm", "eps=0.5", 0, false, 0},
+         {"ER n=256 deg4", "er:n=256,deg=4", "generic_mcm", "eps=0.34", 0, false, 0},
+     }},
+    {.key = "T3.1-inv",
+     .title = "T3.1.b: Lemma 3.4 invariant audit",
+     .claim = "after phase l, the shortest augmenting path exceeds l (the "
+              "solver throws if the exact bounded-path oracle finds one)",
+     .note = invariants_note,
+     .audits_invariants = true,
+     .rows = {
+         {"ER n=24 deg5", "er:n=24,deg=5", "generic_mcm", "eps=0.34,check_invariants=true", 0, false, 0},
+         {"ER n=24 deg5", "er:n=24,deg=5", "generic_mcm", "eps=0.25,check_invariants=true", 0, false, 0},
+         {"ER n=48 deg5", "er:n=48,deg=5", "generic_mcm", "eps=0.34,check_invariants=true", 0, false, 0},
+         {"ER n=48 deg5", "er:n=48,deg=5", "generic_mcm", "eps=0.25,check_invariants=true", 0, false, 0},
+     }},
+    {.key = "T3.8",
+     .title = "T3.8: bipartite CONGEST engine, random bipartite sweep",
+     .claim = "(1-1/k)-MCM in O(k^3 log Delta + k^2 log n) rounds, "
+              "O(log Delta)-bit messages; contrast max-msg-bits with the "
+              "LOCAL T3.1 column",
+     .round_claim = theorem38_budget,
+     .rows = {
+         {"bip n=128 deg4", "bipartite:nx=64,ny=64,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
+         {"bip n=128 deg4", "bipartite:nx=64,ny=64,deg=4", "bipartite_mcm", "k=3", 0, false, 0},
+         {"bip n=256 deg4", "bipartite:nx=128,ny=128,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
+         {"bip n=256 deg4", "bipartite:nx=128,ny=128,deg=4", "bipartite_mcm", "k=3", 0, false, 0},
+         {"bip n=512 deg4", "bipartite:nx=256,ny=256,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
+         {"bip n=512 deg4", "bipartite:nx=256,ny=256,deg=4", "bipartite_mcm", "k=3", 0, false, 0},
+         {"bip n=1024 deg4", "bipartite:nx=512,ny=512,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
+         {"bip n=1024 deg4", "bipartite:nx=512,ny=512,deg=4", "bipartite_mcm", "k=3", 0, false, 0},
+         {"bip n=2048 deg4 (width)", "bipartite:nx=1024,ny=1024,deg=4", "bipartite_mcm", "k=3", 1, false, 0},
+     }},
+    {.key = "T3.11",
+     .title = "T3.11: Algorithm 4 on general graphs",
+     .claim = "(1-1/k)-MCM w.h.p. via random bipartition; iteration budget "
+              "2^{2k+1}(k+1) ln k (paper) vs adaptive certified stopping",
+     .rows = {
+         {"ER n=96 deg4", "er:n=96,deg=4", "general_mcm", "k=2", 0, true, 0},
+         {"ER n=96 deg4", "er:n=96,deg=4", "general_mcm", "k=3", 0, true, 0},
+         {"odd cycle C_63", "cycle:n=63", "general_mcm", "k=2", 0, true, 0},
+         {"odd cycle C_63", "cycle:n=63", "general_mcm", "k=3", 0, true, 0},
+         {"4-regular n=64", "regular:n=64,d=4", "general_mcm", "k=2", 0, true, 0},
+         {"4-regular n=64", "regular:n=64,d=4", "general_mcm", "k=3", 0, true, 0},
+     }},
+    {.key = "T3.11-prog",
+     .title = "T3.11.b: Lemma 3.9 progress per iteration",
+     .claim = "the gap to (1-1/(k+1))|M*| decays geometrically with the "
+              "paper-mode iteration count (shared instance across rows)",
+     .rows = {
+         {"ER n=128 deg4, iters=1", "er:n=128,deg=4", "general_mcm", "k=3,mode=paper,max_iterations=1", 1, false, 99},
+         {"ER n=128 deg4, iters=2", "er:n=128,deg=4", "general_mcm", "k=3,mode=paper,max_iterations=2", 1, false, 99},
+         {"ER n=128 deg4, iters=4", "er:n=128,deg=4", "general_mcm", "k=3,mode=paper,max_iterations=4", 1, false, 99},
+         {"ER n=128 deg4, iters=8", "er:n=128,deg=4", "general_mcm", "k=3,mode=paper,max_iterations=8", 1, false, 99},
+         {"ER n=128 deg4, iters=16", "er:n=128,deg=4", "general_mcm", "k=3,mode=paper,max_iterations=16", 1, false, 99},
+         {"ER n=128 deg4, iters=32", "er:n=128,deg=4", "general_mcm", "k=3,mode=paper,max_iterations=32", 1, false, 99},
+     }},
+    {.key = "T4.5",
+     .title = "T4.5.a: Algorithm 5 ratio sweep",
+     .claim = "w(M) >= (1/2 - eps) w(M*) in O(log(1/eps) log n) rounds; at "
+              "scale the ratio is certified against the 2x-greedy upper "
+              "bound",
+     .round_claim = theorem45_budget,
+     .rows = {
+         {"bip ER n=128", "bipartite:nx=64,ny=64,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.2", 0, false, 0},
+         {"bip ER n=128", "bipartite:nx=64,ny=64,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.05", 0, false, 0},
+         {"bip ER n=256", "bipartite:nx=128,ny=128,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.2", 0, false, 0},
+         {"bip ER n=256", "bipartite:nx=128,ny=128,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.05", 0, false, 0},
+         {"general ER n=16 (exact)", "er:n=16,deg=6,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.2", 0, false, 0},
+         {"general ER n=16 (exact)", "er:n=16,deg=6,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.05", 0, false, 0},
+         {"general ER n=200 (certified)", "er:n=200,deg=6,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.2", 0, false, 0},
+         {"general ER n=200 (certified)", "er:n=200,deg=6,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.05", 0, false, 0},
+     }},
+    {.key = "T4.5-conv",
+     .title = "T4.5.b: Lemma 4.3 convergence curve",
+     .claim = "w(M_i) >= (1 - e^{-2 delta i/3}) w(M*)/2: the ratio column "
+              "climbs with the iteration cap (shared instance across rows)",
+     .note = lemma43_floor_note,
+     .rows = {
+         {"bip n=200 p=0.05, iters=1", "bipartite:nx=100,ny=100,p=0.05,w=uniform,wlo=1,whi=64", "weighted_mwm", "eps=0.01,max_iterations=1", 1, false, 5},
+         {"bip n=200 p=0.05, iters=2", "bipartite:nx=100,ny=100,p=0.05,w=uniform,wlo=1,whi=64", "weighted_mwm", "eps=0.01,max_iterations=2", 1, false, 5},
+         {"bip n=200 p=0.05, iters=3", "bipartite:nx=100,ny=100,p=0.05,w=uniform,wlo=1,whi=64", "weighted_mwm", "eps=0.01,max_iterations=3", 1, false, 5},
+         {"bip n=200 p=0.05, iters=4", "bipartite:nx=100,ny=100,p=0.05,w=uniform,wlo=1,whi=64", "weighted_mwm", "eps=0.01,max_iterations=4", 1, false, 5},
+         {"bip n=200 p=0.05, iters=6", "bipartite:nx=100,ny=100,p=0.05,w=uniform,wlo=1,whi=64", "weighted_mwm", "eps=0.01,max_iterations=6", 1, false, 5},
+         {"bip n=200 p=0.05, iters=8", "bipartite:nx=100,ny=100,p=0.05,w=uniform,wlo=1,whi=64", "weighted_mwm", "eps=0.01,max_iterations=8", 1, false, 5},
+     }},
+    {.key = "T4.5-delta",
+     .title = "T4.5.c: measured delta of the class-based black box",
+     .claim = "the stand-in for [18] must deliver a constant delta; the "
+              "paper plugs in delta = 1/5 (ratio column = measured delta)",
+     .rows = {
+         {"bip ER n=128 w~U[1,256]", "bipartite:nx=64,ny=64,deg=6,w=uniform,wlo=1,whi=256", "class_mwm", "", 0, false, 0},
+         {"bip ER n=256 w~U[1,256]", "bipartite:nx=128,ny=128,deg=6,w=uniform,wlo=1,whi=256", "class_mwm", "", 0, false, 0},
+     }},
+    {.key = "SCALING.a",
+     .title = "SCALING.a: rounds vs n on sparse ER / bipartite graphs",
+     .claim = "O(log n) round growth for the randomized algorithms: "
+              "rounds/claim (rounds / log2 n) stays flat while n doubles",
+     .round_claim = log_n,
+     .rows = {
+         {"ER n=256 deg4", "er:n=256,deg=4", "israeli_itai", "", 0, false, 0},
+         {"ER n=512 deg4", "er:n=512,deg=4", "israeli_itai", "", 0, false, 0},
+         {"ER n=1024 deg4", "er:n=1024,deg=4", "israeli_itai", "", 0, false, 0},
+         {"ER n=2048 deg4", "er:n=2048,deg=4", "israeli_itai", "", 0, false, 0},
+         {"ER n=4096 deg4", "er:n=4096,deg=4", "israeli_itai", "", 0, false, 0},
+         {"bip n=256 deg4", "bipartite:nx=128,ny=128,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
+         {"bip n=512 deg4", "bipartite:nx=256,ny=256,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
+         {"bip n=1024 deg4", "bipartite:nx=512,ny=512,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
+         {"bip n=2048 deg4", "bipartite:nx=1024,ny=1024,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
+         {"bip n=4096 deg4", "bipartite:nx=2048,ny=2048,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
+         {"ER n=256 deg4 w~U[1,100]", "er:n=256,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.1", 0, false, 0},
+         {"ER n=512 deg4 w~U[1,100]", "er:n=512,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.1", 0, false, 0},
+         {"ER n=1024 deg4 w~U[1,100]", "er:n=1024,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.1", 0, false, 0},
+         {"ER n=2048 deg4 w~U[1,100]", "er:n=2048,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.1", 0, false, 0},
+         {"ER n=4096 deg4 w~U[1,100]", "er:n=4096,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.1", 0, false, 0},
+     }},
+    {.key = "SCALING.b",
+     .title = "SCALING.b: deterministic Hoepman [11] on the increasing path",
+     .claim = "Theta(n) rounds (rounds/claim = rounds / n), the O(n) entry in "
+              "the related work; randomization buys O(log n)",
+     .round_claim = linear_n,
+     .rows = {
+         {"increasing path n=128", "increasing_path:n=128", "hoepman_mwm", "", 1, false, 0},
+         {"increasing path n=128", "increasing_path:n=128", "israeli_itai", "", 0, false, 0},
+         {"increasing path n=256", "increasing_path:n=256", "hoepman_mwm", "", 1, false, 0},
+         {"increasing path n=256", "increasing_path:n=256", "israeli_itai", "", 0, false, 0},
+         {"increasing path n=512", "increasing_path:n=512", "hoepman_mwm", "", 1, false, 0},
+         {"increasing path n=512", "increasing_path:n=512", "israeli_itai", "", 0, false, 0},
+         {"increasing path n=1024", "increasing_path:n=1024", "hoepman_mwm", "", 1, false, 0},
+         {"increasing path n=1024", "increasing_path:n=1024", "israeli_itai", "", 0, false, 0},
+     }},
+    {.key = "NEAR.a",
+     .title = "NEAR.a: round-truncated Israeli-Itai (shared instance)",
+     .claim = "fewer rounds => smaller matchings; the KMW [17] lower bound "
+              "says some rounds are unavoidable for any constant ratio",
+     .note = maximal_runs_note,
+     .rows = {
+         {"ER n=1024 deg6 (certified)", "er:n=1024,deg=6", "israeli_itai", "max_phases=1", 5, false, 4242},
+         {"ER n=1024 deg6 (certified)", "er:n=1024,deg=6", "israeli_itai", "max_phases=2", 5, false, 4242},
+         {"ER n=1024 deg6 (certified)", "er:n=1024,deg=6", "israeli_itai", "max_phases=3", 5, false, 4242},
+         {"ER n=1024 deg6 (certified)", "er:n=1024,deg=6", "israeli_itai", "max_phases=4", 5, false, 4242},
+         {"ER n=1024 deg6 (certified)", "er:n=1024,deg=6", "israeli_itai", "max_phases=6", 5, false, 4242},
+         {"ER n=1024 deg6 (certified)", "er:n=1024,deg=6", "israeli_itai", "max_phases=10", 5, false, 4242},
+         {"ER n=1024 deg6 (certified)", "er:n=1024,deg=6", "israeli_itai", "max_phases=20", 5, false, 4242},
+     }},
+    {.key = "REMARK.a",
+     .title = "REMARK.a: (1-eps)-MWM via beta-augmentations (Hougardy-"
+              "Vinkemeier adaptation through Algorithm 2)",
+     .claim = "a fixed point with no positive beta-augmentation has w(M) >= "
+              "beta/(beta+1) w(M*) (Lemma 4.2); messages of linear size",
+     .rows = {
+         {"bip n=64 w~U[1,50]", "bipartite:nx=32,ny=32,deg=3,w=uniform,wlo=1,whi=50", "local_mwm", "beta=1", 0, false, 0},
+         {"bip n=64 w~U[1,50]", "bipartite:nx=32,ny=32,deg=3,w=uniform,wlo=1,whi=50", "local_mwm", "beta=2", 0, false, 0},
+         {"bip n=64 w~U[1,50]", "bipartite:nx=32,ny=32,deg=3,w=uniform,wlo=1,whi=50", "local_mwm", "beta=3", 0, false, 0},
+         {"general ER n=48 w~U[1,50] (certified)", "er:n=48,deg=5,w=uniform,wlo=1,whi=50", "local_mwm", "beta=1", 0, false, 0},
+         {"general ER n=48 w~U[1,50] (certified)", "er:n=48,deg=5,w=uniform,wlo=1,whi=50", "local_mwm", "beta=2", 0, false, 0},
+         {"general ER n=48 w~U[1,50] (certified)", "er:n=48,deg=5,w=uniform,wlo=1,whi=50", "local_mwm", "beta=3", 0, false, 0},
+     }},
+    {.key = "REMARK.b",
+     .title = "REMARK.b: the greedy trap across beta",
+     .claim = "beta = 1 is wrap-limited (~1/2 on trapped gadgets); beta >= 2 "
+              "repairs every gadget",
+     .rows = {
+         {"greedy trap x16", "greedy_trap:gadgets=16,eps=0.01", "local_mwm", "beta=1", 1, false, 0},
+         {"greedy trap x16", "greedy_trap:gadgets=16,eps=0.01", "local_mwm", "beta=2", 1, false, 0},
+         {"greedy trap x16", "greedy_trap:gadgets=16,eps=0.01", "local_mwm", "beta=3", 1, false, 0},
+     }},
+    {.key = "ABL.b",
+     .title = "ABL.b: class black box, geometric base vs quality and rounds",
+     .claim = "base 2 is the default; coarser classes (base 4) round away "
+              "more weight, finer classes (base 1.5) add sweep rounds "
+              "(ratio column = measured delta)",
+     .progress = kClasses,
+     .rows = {
+         {"bip n=128 p=0.1 w~U[1,200]", "bipartite:nx=64,ny=64,p=0.1,w=uniform,wlo=1,whi=200", "class_mwm", "class_base=1.5", 0, false, 0},
+         {"bip n=128 p=0.1 w~U[1,200]", "bipartite:nx=64,ny=64,p=0.1,w=uniform,wlo=1,whi=200", "class_mwm", "class_base=2", 0, false, 0},
+         {"bip n=128 p=0.1 w~U[1,200]", "bipartite:nx=64,ny=64,p=0.1,w=uniform,wlo=1,whi=200", "class_mwm", "class_base=4", 0, false, 0},
+     }},
+    {.key = "ABL.c",
+     .title = "ABL.c: Aug engine, cost and benefit per path-length cap",
+     .claim = "longer caps l = 2k-1 = 1, 3, 5, 7 (shared instance) buy "
+              "quality at O(l) rounds per iteration (Lemma 3.7)",
+     .rows = {
+         {"bip n=256 p=0.04", "bipartite:nx=128,ny=128,p=0.04", "bipartite_mcm", "k=1", 0, false, 920},
+         {"bip n=256 p=0.04", "bipartite:nx=128,ny=128,p=0.04", "bipartite_mcm", "k=2", 0, false, 920},
+         {"bip n=256 p=0.04", "bipartite:nx=128,ny=128,p=0.04", "bipartite_mcm", "k=3", 0, false, 920},
+         {"bip n=256 p=0.04", "bipartite:nx=128,ny=128,p=0.04", "bipartite_mcm", "k=4", 0, false, 920},
+     }},
+    {.key = "ABL.e",
+     .title = "ABL.e: MIS subroutine for Algorithm 1 — Luby [20] vs "
+              "Alon-Babai-Itai [1]",
+     .claim = "Lemma 3.3 allows either; both are O(log N) phases w.h.p. "
+              "(MIS rounds are part of generic_mcm's rounds)",
+     .rows = {
+         {"ER n=64 p=0.1", "er:n=64,p=0.1", "generic_mcm", "eps=0.5,use_abi_mis=false", 0, false, 0},
+         {"ER n=64 p=0.1", "er:n=64,p=0.1", "generic_mcm", "eps=0.5,use_abi_mis=true", 0, false, 0},
+     }},
 };
-
-const Row kRows[] = {
-    // ------------------------------------------------------- BASE.a --
-    {"BASE.a", "ER n=128 deg4", "er:n=128,deg=4", "israeli_itai", "", 0, false, 0},
-    {"BASE.a", "ER n=128 deg4", "er:n=128,deg=4", "generic_mcm", "eps=0.34", 0, false, 0},
-    {"BASE.a", "ER n=128 deg4", "er:n=128,deg=4", "general_mcm", "k=3", 0, true, 0},
-    {"BASE.a", "bip n=128 deg4", "bipartite:nx=64,ny=64,deg=4", "israeli_itai", "", 0, false, 0},
-    {"BASE.a", "bip n=128 deg4", "bipartite:nx=64,ny=64,deg=4", "generic_mcm", "eps=0.34", 0, false, 0},
-    {"BASE.a", "bip n=128 deg4", "bipartite:nx=64,ny=64,deg=4", "bipartite_mcm", "k=3", 0, false, 0},
-    {"BASE.a", "bip n=128 deg4", "bipartite:nx=64,ny=64,deg=4", "general_mcm", "k=3", 0, true, 0},
-    {"BASE.a", "grid 12x12", "grid:rows=12,cols=12", "israeli_itai", "", 0, false, 0},
-    {"BASE.a", "grid 12x12", "grid:rows=12,cols=12", "generic_mcm", "eps=0.34", 0, false, 0},
-    {"BASE.a", "grid 12x12", "grid:rows=12,cols=12", "bipartite_mcm", "k=3", 0, false, 0},
-    {"BASE.a", "grid 12x12", "grid:rows=12,cols=12", "general_mcm", "k=3", 0, true, 0},
-    // ------------------------------------------------------- BASE.b --
-    // increasing_path is the Theta(n)-round worst case for Hoepman's
-    // deterministic protocol (contrast with class_mwm's O(log n)).
-    {"BASE.b", "increasing path n=64", "increasing_path:n=64", "hoepman_mwm", "", 1, false, 0},
-    {"BASE.b", "increasing path n=64", "increasing_path:n=64", "class_mwm", "", 1, false, 0},
-    {"BASE.b", "bip ER n=128 w~U[1,100]", "bipartite:nx=64,ny=64,deg=6,w=uniform,wlo=1,whi=100", "greedy_mwm", "", 0, false, 0},
-    {"BASE.b", "bip ER n=128 w~U[1,100]", "bipartite:nx=64,ny=64,deg=6,w=uniform,wlo=1,whi=100", "hoepman_mwm", "", 0, false, 0},
-    {"BASE.b", "bip ER n=128 w~U[1,100]", "bipartite:nx=64,ny=64,deg=6,w=uniform,wlo=1,whi=100", "class_mwm", "", 0, false, 0},
-    {"BASE.b", "bip ER n=128 w~U[1,100]", "bipartite:nx=64,ny=64,deg=6,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.05", 0, false, 0},
-    {"BASE.b", "greedy trap x16", "greedy_trap:gadgets=16,eps=0.001", "greedy_mwm", "", 0, false, 0},
-    {"BASE.b", "greedy trap x16", "greedy_trap:gadgets=16,eps=0.001", "hoepman_mwm", "", 0, false, 0},
-    {"BASE.b", "greedy trap x16", "greedy_trap:gadgets=16,eps=0.001", "class_mwm", "", 0, false, 0},
-    {"BASE.b", "greedy trap x16", "greedy_trap:gadgets=16,eps=0.001", "weighted_mwm", "eps=0.05", 0, false, 0},
-    // --------------------------------------------------------- T3.1 --
-    {"T3.1", "ER n=32 deg4", "er:n=32,deg=4", "generic_mcm", "eps=0.5", 0, false, 0},
-    {"T3.1", "ER n=32 deg4", "er:n=32,deg=4", "generic_mcm", "eps=0.34", 0, false, 0},
-    {"T3.1", "ER n=64 deg4", "er:n=64,deg=4", "generic_mcm", "eps=0.5", 0, false, 0},
-    {"T3.1", "ER n=64 deg4", "er:n=64,deg=4", "generic_mcm", "eps=0.34", 0, false, 0},
-    {"T3.1", "ER n=128 deg4", "er:n=128,deg=4", "generic_mcm", "eps=0.5", 0, false, 0},
-    {"T3.1", "ER n=128 deg4", "er:n=128,deg=4", "generic_mcm", "eps=0.34", 0, false, 0},
-    {"T3.1", "ER n=256 deg4", "er:n=256,deg=4", "generic_mcm", "eps=0.5", 0, false, 0},
-    {"T3.1", "ER n=256 deg4", "er:n=256,deg=4", "generic_mcm", "eps=0.34", 0, false, 0},
-    // ----------------------------------------------------- T3.1-inv --
-    {"T3.1-inv", "ER n=24 deg5", "er:n=24,deg=5", "generic_mcm", "eps=0.34,check_invariants=true", 0, false, 0},
-    {"T3.1-inv", "ER n=24 deg5", "er:n=24,deg=5", "generic_mcm", "eps=0.25,check_invariants=true", 0, false, 0},
-    {"T3.1-inv", "ER n=48 deg5", "er:n=48,deg=5", "generic_mcm", "eps=0.34,check_invariants=true", 0, false, 0},
-    {"T3.1-inv", "ER n=48 deg5", "er:n=48,deg=5", "generic_mcm", "eps=0.25,check_invariants=true", 0, false, 0},
-    // --------------------------------------------------------- T3.8 --
-    {"T3.8", "bip n=128 deg4", "bipartite:nx=64,ny=64,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
-    {"T3.8", "bip n=128 deg4", "bipartite:nx=64,ny=64,deg=4", "bipartite_mcm", "k=3", 0, false, 0},
-    {"T3.8", "bip n=256 deg4", "bipartite:nx=128,ny=128,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
-    {"T3.8", "bip n=256 deg4", "bipartite:nx=128,ny=128,deg=4", "bipartite_mcm", "k=3", 0, false, 0},
-    {"T3.8", "bip n=512 deg4", "bipartite:nx=256,ny=256,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
-    {"T3.8", "bip n=512 deg4", "bipartite:nx=256,ny=256,deg=4", "bipartite_mcm", "k=3", 0, false, 0},
-    {"T3.8", "bip n=1024 deg4", "bipartite:nx=512,ny=512,deg=4", "bipartite_mcm", "k=2", 0, false, 0},
-    {"T3.8", "bip n=1024 deg4", "bipartite:nx=512,ny=512,deg=4", "bipartite_mcm", "k=3", 0, false, 0},
-    {"T3.8", "bip n=2048 deg4 (width)", "bipartite:nx=1024,ny=1024,deg=4", "bipartite_mcm", "k=3", 1, false, 0},
-    // -------------------------------------------------------- T3.11 --
-    {"T3.11", "ER n=96 deg4", "er:n=96,deg=4", "general_mcm", "k=2", 0, true, 0},
-    {"T3.11", "ER n=96 deg4", "er:n=96,deg=4", "general_mcm", "k=3", 0, true, 0},
-    {"T3.11", "odd cycle C_63", "cycle:n=63", "general_mcm", "k=2", 0, true, 0},
-    {"T3.11", "odd cycle C_63", "cycle:n=63", "general_mcm", "k=3", 0, true, 0},
-    {"T3.11", "4-regular n=64", "regular:n=64,d=4", "general_mcm", "k=2", 0, true, 0},
-    {"T3.11", "4-regular n=64", "regular:n=64,d=4", "general_mcm", "k=3", 0, true, 0},
-    // --------------------------------------------------- T3.11-prog --
-    {"T3.11-prog", "ER n=128 deg4, iters=1", "er:n=128,deg=4", "general_mcm", "k=3,mode=paper,max_iterations=1", 1, false, 99},
-    {"T3.11-prog", "ER n=128 deg4, iters=2", "er:n=128,deg=4", "general_mcm", "k=3,mode=paper,max_iterations=2", 1, false, 99},
-    {"T3.11-prog", "ER n=128 deg4, iters=4", "er:n=128,deg=4", "general_mcm", "k=3,mode=paper,max_iterations=4", 1, false, 99},
-    {"T3.11-prog", "ER n=128 deg4, iters=8", "er:n=128,deg=4", "general_mcm", "k=3,mode=paper,max_iterations=8", 1, false, 99},
-    {"T3.11-prog", "ER n=128 deg4, iters=16", "er:n=128,deg=4", "general_mcm", "k=3,mode=paper,max_iterations=16", 1, false, 99},
-    {"T3.11-prog", "ER n=128 deg4, iters=32", "er:n=128,deg=4", "general_mcm", "k=3,mode=paper,max_iterations=32", 1, false, 99},
-    // --------------------------------------------------------- T4.5 --
-    {"T4.5", "bip ER n=128", "bipartite:nx=64,ny=64,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.2", 0, false, 0},
-    {"T4.5", "bip ER n=128", "bipartite:nx=64,ny=64,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.05", 0, false, 0},
-    {"T4.5", "bip ER n=256", "bipartite:nx=128,ny=128,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.2", 0, false, 0},
-    {"T4.5", "bip ER n=256", "bipartite:nx=128,ny=128,deg=4,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.05", 0, false, 0},
-    {"T4.5", "general ER n=16 (exact)", "er:n=16,deg=6,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.2", 0, false, 0},
-    {"T4.5", "general ER n=16 (exact)", "er:n=16,deg=6,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.05", 0, false, 0},
-    {"T4.5", "general ER n=200 (certified)", "er:n=200,deg=6,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.2", 0, false, 0},
-    {"T4.5", "general ER n=200 (certified)", "er:n=200,deg=6,w=uniform,wlo=1,whi=100", "weighted_mwm", "eps=0.05", 0, false, 0},
-    // ---------------------------------------------------- T4.5-conv --
-    {"T4.5-conv", "bip n=200 p=0.05, iters=1", "bipartite:nx=100,ny=100,p=0.05,w=uniform,wlo=1,whi=64", "weighted_mwm", "eps=0.01,max_iterations=1", 1, false, 5},
-    {"T4.5-conv", "bip n=200 p=0.05, iters=2", "bipartite:nx=100,ny=100,p=0.05,w=uniform,wlo=1,whi=64", "weighted_mwm", "eps=0.01,max_iterations=2", 1, false, 5},
-    {"T4.5-conv", "bip n=200 p=0.05, iters=3", "bipartite:nx=100,ny=100,p=0.05,w=uniform,wlo=1,whi=64", "weighted_mwm", "eps=0.01,max_iterations=3", 1, false, 5},
-    {"T4.5-conv", "bip n=200 p=0.05, iters=4", "bipartite:nx=100,ny=100,p=0.05,w=uniform,wlo=1,whi=64", "weighted_mwm", "eps=0.01,max_iterations=4", 1, false, 5},
-    {"T4.5-conv", "bip n=200 p=0.05, iters=6", "bipartite:nx=100,ny=100,p=0.05,w=uniform,wlo=1,whi=64", "weighted_mwm", "eps=0.01,max_iterations=6", 1, false, 5},
-    {"T4.5-conv", "bip n=200 p=0.05, iters=8", "bipartite:nx=100,ny=100,p=0.05,w=uniform,wlo=1,whi=64", "weighted_mwm", "eps=0.01,max_iterations=8", 1, false, 5},
-    // --------------------------------------------------- T4.5-delta --
-    {"T4.5-delta", "bip ER n=128 w~U[1,256]", "bipartite:nx=64,ny=64,deg=6,w=uniform,wlo=1,whi=256", "class_mwm", "", 0, false, 0},
-    {"T4.5-delta", "bip ER n=256 w~U[1,256]", "bipartite:nx=128,ny=128,deg=6,w=uniform,wlo=1,whi=256", "class_mwm", "", 0, false, 0},
-};
-
-using bench::fmt;
-
-/// The claimed round budget for the row's theorem, so the table can
-/// print rounds/claim — flat across n is the paper's scaling evidence
-/// (the deleted per-theorem benches printed the same normalizations).
-/// Returns 0 when the experiment has no round-shape claim.
-double claim_denominator(const std::string& exp, const api::RunResult& res) {
-  const double logn = std::log2(static_cast<double>(res.n) + 2.0);
-  const double logd = std::log2(static_cast<double>(res.max_degree) + 2.0);
-  const api::SolverConfig cfg = api::SolverConfig::parse(res.spec.config);
-  if (exp == "T3.1") return logn;  // Theorem 3.1: O(eps^-3 log n)
-  if (exp == "T3.8") {             // Theorem 3.8: O(k^3 logD + k^2 log n)
-    const double k = static_cast<double>(cfg.get_int("k", 3));
-    return k * k * k * logd + k * k * logn;
-  }
-  if (exp == "T4.5") {             // Theorem 4.5: O(log(1/eps) log n)
-    return std::log(1.0 / cfg.get_double("eps", 0.1)) * logn;
-  }
-  return 0.0;
-}
 
 /// --filter matches an experiment key exactly or up to a '.'/'-'
 /// separator, so "T3.1" selects T3.1 and T3.1-inv but not T3.11, and
@@ -210,6 +398,68 @@ std::uint64_t workload_seed(const char* generator) {
   return h % 100000;
 }
 
+std::string fmt_or_dash(bool present, double v, int precision) {
+  return present ? fmt(v, precision) : "-";
+}
+
+/// Runs one row's trials and folds them into a Trials aggregate.
+Trials run_row(const Experiment& exp, const Row& row, std::size_t row_index,
+               int trials, bool emit_json, const std::string& json_dir) {
+  Trials t;
+  for (int trial = 0; trial < trials; ++trial) {
+    api::RunSpec spec;
+    spec.generator = row.generator;
+    spec.solver = row.solver;
+    spec.config = row.config;
+    spec.instance_seed = row.fixed_seed != 0
+                             ? row.fixed_seed
+                             : 101 + workload_seed(row.generator) + 977 * trial;
+    spec.solver_seed = row.fixed_seed != 0 ? row.fixed_seed + 13 * trial
+                                           : 7 + 13 * trial + row_index;
+    spec.feed_oracle = row.feed_oracle;
+    api::RunResult res;
+    try {
+      res = api::run_one(spec);
+    } catch (const std::invalid_argument&) {
+      throw;  // table misconfiguration, not a measurement: fail loudly
+    } catch (const std::logic_error& e) {
+      if (!exp.audits_invariants) throw;
+      t.violation = e.what();
+      continue;
+    }
+    t.n = res.n;
+    t.edges.add(static_cast<double>(res.m));
+    t.guarantee = res.guarantee;
+    if (res.ratio >= 0) t.ratio.add(res.ratio);
+    t.rounds.add(static_cast<double>(res.net.rounds));
+    if (exp.round_claim != nullptr) {
+      t.per_claim.add(static_cast<double>(res.net.rounds) /
+                      exp.round_claim(res));
+    }
+    t.wall.add(res.wall_ms);
+    t.max_bits = std::max(t.max_bits, res.net.max_message_bits);
+    if (const auto it = res.metrics.find("paper_budget");
+        it != res.metrics.end()) {
+      t.paper_budget = it->second;
+    }
+    for (const char* key : exp.progress.metrics) {
+      if (key == nullptr) break;
+      if (const auto it = res.metrics.find(key); it != res.metrics.end()) {
+        t.progress.add(it->second);
+        break;
+      }
+    }
+    if (res.maximal) ++t.maximal;
+    if (!res.valid) t.valid = false;
+    if (emit_json) {
+      api::write_json(res, json_dir,
+                      std::string(exp.key) + "_r" + std::to_string(row_index) +
+                          "_t" + std::to_string(trial));
+    }
+  }
+  return t;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -220,121 +470,63 @@ int main(int argc, char** argv) {
   const std::string json_dir = opts.get("json-dir", "bench/out");
 
   bool any_matched = false;
+  bool all_valid = true;
+  std::size_t row_index = 0;  // global across experiments: stable seeds
   for (const Experiment& exp : kExperiments) {
-    if (!filter_matches(filter, exp.key)) continue;
+    if (!filter_matches(filter, exp.key)) {
+      row_index += exp.rows.size();
+      continue;
+    }
     any_matched = true;
     bench::print_header(exp.title, exp.claim);
-    Table t({"workload", "solver", "config", "n", "m (mean)", "guarantee",
-             "ratio (min)", "ratio (mean)", "rounds (mean)", "rounds/claim",
-             "max msg bits", "iters/phases (mean)", "wall ms (mean)",
-             "note"});
-
-    std::size_t row_index = 0;
-    for (const Row& row : kRows) {
-      ++row_index;  // global index: stable seeds under filtering
-      if (std::string(row.experiment) != exp.key) continue;
-      const int trials = row.trials > 0 ? row.trials : default_trials;
-
-      StreamingStats ratio, rounds, iters, wall, edges, norm;
-      std::uint64_t max_bits = 0;
-      std::size_t n = 0;
-      double guarantee = 0.0;
-      double paper_budget = 0.0;  // Algorithm 4's 2^{2k+1}(k+1) ln k
-      std::string note;
-      for (int trial = 0; trial < trials; ++trial) {
-        api::RunSpec spec;
-        spec.generator = row.generator;
-        spec.solver = row.solver;
-        spec.config = row.config;
-        spec.instance_seed = row.fixed_seed != 0
-                                 ? row.fixed_seed
-                                 : 101 + workload_seed(row.generator) +
-                                       977 * trial;
-        spec.solver_seed = row.fixed_seed != 0
-                               ? row.fixed_seed
-                               : 7 + 13 * trial + row_index;
-        spec.feed_oracle = row.feed_oracle;
-        api::RunResult res;
-        try {
-          res = api::run_one(spec);
-        } catch (const std::invalid_argument&) {
-          throw;  // table misconfiguration, not a measurement: fail loudly
-        } catch (const std::logic_error& e) {
-          // Only the invariant audit is allowed to observe a violation.
-          if (std::string(exp.key) != "T3.1-inv") throw;
-          note = std::string("VIOLATION: ") + e.what();
-          continue;
-        }
-        n = res.n;
-        edges.add(static_cast<double>(res.m));
-        guarantee = res.guarantee;
-        if (res.ratio >= 0) ratio.add(res.ratio);
-        rounds.add(static_cast<double>(res.net.rounds));
-        if (const double denom = claim_denominator(exp.key, res); denom > 0) {
-          norm.add(static_cast<double>(res.net.rounds) / denom);
-        }
-        wall.add(res.wall_ms);
-        max_bits = std::max(max_bits, res.net.max_message_bits);
-        if (const auto it = res.metrics.find("paper_budget");
-            it != res.metrics.end()) {
-          paper_budget = it->second;
-        }
-        // Per-solver progress measure: Algorithm 4/5 iterations, the
-        // Aug engine's iterations, or (generic_mcm) the phase count.
-        for (const char* key : {"iterations", "aug_iterations", "phases"}) {
-          if (const auto it = res.metrics.find(key); it != res.metrics.end()) {
-            iters.add(it->second);
-            break;
-          }
-        }
-        if (!res.valid) note = "INVALID MATCHING";
-        if (emit_json) {
-          api::write_json(res, json_dir,
-                          std::string(exp.key) + "_r" +
-                              std::to_string(row_index) + "_t" +
-                              std::to_string(trial));
-        }
-      }
-      if (note.empty() && std::string(exp.key) == "T3.1-inv") {
-        note = "invariants ok";
-      }
-      // T3.11: show the paper-mode iteration budget next to the
-      // adaptive iterations actually used (the deleted bench's
-      // headline adaptive-vs-paper comparison).
-      if (note.empty() && paper_budget > 0) {
-        note = "paper budget " + fmt(paper_budget, 0);
-      }
-      // T4.5-conv: print the Lemma 4.3 floor the ratio must clear,
-      // (1 - e^{-2 delta i / 3}) / 2 with delta = 1/5 at i iterations.
-      if (note.empty() && std::string(exp.key) == "T4.5-conv" &&
-          iters.count() > 0) {
-        note = "L4.3 floor " +
-               fmt(0.5 * (1.0 - std::exp(-2.0 * 0.2 * iters.mean() / 3.0)), 4);
-      }
-      t.row();
-      t.cell(row.workload);
-      t.cell(row.solver);
-      t.cell(row.config[0] ? row.config : "-");
-      t.cell(n);
+    Table table({"workload", "solver", "config", "n", "m (mean)",
+                 "guarantee", "ratio (min)", "ratio (mean)", "rounds (mean)",
+                 "rounds/claim", "max msg bits", exp.progress.column,
+                 "wall ms (mean)", "note"});
+    for (const Row& row : exp.rows) {
+      ++row_index;
+      const Trials t =
+          run_row(exp, row, row_index,
+                  row.trials > 0 ? row.trials : default_trials, emit_json,
+                  json_dir);
+      all_valid = all_valid && t.valid;
+      const std::string note = !t.valid               ? "INVALID MATCHING"
+                               : !t.violation.empty() ? "VIOLATION: " +
+                                                            t.violation
+                                                      : exp.note(t);
+      table.row();
+      table.cell(row.workload);
+      table.cell(row.solver);
+      table.cell(row.config[0] ? row.config : "-");
+      table.cell(t.n);
       // Random generators redraw edges each trial: report the mean.
-      t.cell(edges.count() ? fmt(edges.mean(), 1) : std::string("-"));
-      t.cell(guarantee > 0 ? fmt(guarantee, 4) : std::string("-"));
-      t.cell(ratio.count() ? fmt(ratio.min(), 4) : std::string("-"));
-      t.cell(ratio.count() ? fmt(ratio.mean(), 4) : std::string("-"));
-      t.cell(rounds.mean(), 4);
-      t.cell(norm.count() ? fmt(norm.mean(), 4) : std::string("-"));
-      t.cell(static_cast<std::size_t>(max_bits));
-      t.cell(iters.count() ? fmt(iters.mean(), 2) : std::string("-"));
-      t.cell(wall.mean(), 3);
-      t.cell(note.empty() ? "-" : note);
+      table.cell(fmt_or_dash(t.edges.count(), t.edges.mean(), 1));
+      table.cell(fmt_or_dash(t.guarantee > 0, t.guarantee, 4));
+      table.cell(fmt_or_dash(t.ratio.count(), t.ratio.min(), 4));
+      table.cell(fmt_or_dash(t.ratio.count(), t.ratio.mean(), 4));
+      table.cell(t.rounds.mean(), 4);
+      table.cell(fmt_or_dash(t.per_claim.count(), t.per_claim.mean(), 4));
+      table.cell(static_cast<std::size_t>(t.max_bits));
+      table.cell(fmt_or_dash(t.progress.count(), t.progress.mean(), 2));
+      table.cell(t.wall.mean(), 3);
+      table.cell(note.empty() ? "-" : note);
     }
-    bench::print_table(t);
+    bench::print_table(table);
   }
   if (!any_matched) {
+    std::string keys;
+    for (const Experiment& exp : kExperiments) {
+      keys += (keys.empty() ? "" : ", ") + std::string(exp.key);
+    }
     std::fprintf(stderr,
                  "bench_theorems: --filter '%s' matches no experiment "
-                 "(keys: BASE, T3.1, T3.8, T3.11, T4.5 and sub-keys)\n",
-                 filter.c_str());
+                 "(keys: %s; a prefix up to '.' or '-' selects a group)\n",
+                 filter.c_str(), keys.c_str());
+    return 1;
+  }
+  if (!all_valid) {
+    std::fprintf(stderr, "bench_theorems: some run returned an invalid "
+                         "matching (rows noted INVALID MATCHING)\n");
     return 1;
   }
   return 0;

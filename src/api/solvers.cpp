@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "api/registry.hpp"
+#include "core/beta_augment.hpp"
 #include "core/bipartite_mcm.hpp"
 #include "core/class_mwm.hpp"
 #include "core/general_mcm.hpp"
@@ -100,6 +101,14 @@ int config_k(const SolverConfig& c, std::uint64_t max_k = kMaxK) {
   const int k = static_cast<int>(c.get_count("k", 3, max_k));
   if (k < 1) throw std::invalid_argument("config: k must be >= 1");
   return k;
+}
+
+/// local_mwm's ball radius 2(2 beta + 1) must fit in an int.
+int config_beta(const SolverConfig& c) {
+  const int beta = static_cast<int>(
+      c.get_count("beta", 3, (std::numeric_limits<int>::max() - 2) / 4));
+  if (beta < 1) throw std::invalid_argument("config: beta must be >= 1");
+  return beta;
 }
 
 /// generic_mcm documents eps in (0, 1] (eps = 1 -> k = 1); the other
@@ -346,6 +355,30 @@ void register_core(SolverRegistry& reg) {
         if (!res.weight_trajectory.empty()) {
           out.metrics["first_iteration_weight"] = res.weight_trajectory.front();
         }
+        return out;
+      });
+
+  add(reg, "local_mwm",
+      "Section 4 Remark: (1-eps)-MWM by beta-augmentation local search "
+      "over Algorithm 2's radius-2L balls, beta/(beta+1) at the fixed "
+      "point, linear-size messages [Hougardy & Vinkemeier adaptation]",
+      {.bipartite = true, .general = true, .weighted = true,
+       .distributed = true},
+      {"beta"},
+      // The phase and enumeration caps are not exposed, so no config
+      // truncates the run; an unconverged run reports converged=false.
+      [](const SolverConfig& c) {
+        const double beta = static_cast<double>(config_beta(c));
+        return beta / (beta + 1.0);
+      },
+      [](const Instance& inst, const SolverConfig& cfg) {
+        LocalMwmOptions o;
+        o.beta = config_beta(cfg);
+        o.exec = cfg.exec();
+        auto res = local_mwm(inst.weighted_graph(), o);
+        SolveResult out =
+            make_result(std::move(res.matching), res.stats, res.converged);
+        out.metrics["phases"] = static_cast<double>(res.phases);
         return out;
       });
 

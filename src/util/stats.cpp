@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace lps {
@@ -19,10 +18,6 @@ void StreamingStats::add(double x) noexcept {
 double StreamingStats::variance() const noexcept {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
-}
-
-double StreamingStats::stddev() const noexcept {
-  return std::sqrt(variance());
 }
 
 void StreamingStats::merge(const StreamingStats& other) noexcept {
@@ -56,14 +51,6 @@ double Samples::mean() const noexcept {
   double s = 0.0;
   for (double x : data_) s += x;
   return s / static_cast<double>(data_.size());
-}
-
-double Samples::stddev() const noexcept {
-  if (data_.size() < 2) return 0.0;
-  const double m = mean();
-  double s = 0.0;
-  for (double x : data_) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(data_.size() - 1));
 }
 
 double Samples::min() const noexcept {

@@ -18,7 +18,6 @@ class StreamingStats {
   std::size_t count() const noexcept { return count_; }
   double mean() const noexcept { return count_ ? mean_ : 0.0; }
   double variance() const noexcept;  // sample variance (n-1)
-  double stddev() const noexcept;
   double min() const noexcept { return count_ ? min_ : 0.0; }
   double max() const noexcept { return count_ ? max_ : 0.0; }
   double sum() const noexcept { return sum_; }
@@ -42,13 +41,11 @@ class Samples {
   void add(double x) { data_.push_back(x); }
   std::size_t count() const noexcept { return data_.size(); }
   double mean() const noexcept;
-  double stddev() const noexcept;
   double min() const noexcept;
   double max() const noexcept;
   /// q in [0,1]; linear interpolation between order statistics.
   double quantile(double q) const;
   double median() const { return quantile(0.5); }
-  const std::vector<double>& data() const noexcept { return data_; }
 
  private:
   mutable std::vector<double> data_;

@@ -23,7 +23,6 @@ class Table {
   Table& cell(int value);
 
   std::size_t num_rows() const { return rows_.size(); }
-  const std::vector<std::string>& column_names() const { return columns_; }
   const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 
   /// GitHub-flavored markdown (aligned pipes).

@@ -128,6 +128,11 @@ expect_reject(--generator path:n=8 --solver greedy_mcm --dynamic greedy
               --dynamic-checkpoints -1)
 expect_reject(--generator er:n=64,deg=2 --solver israeli_itai
               --stall-timeout-ms -1)
+# --monitor-ms 2^32 would wrap to 0 and silently turn the monitor off.
+expect_reject(--generator er:n=64,deg=2 --solver israeli_itai
+              --monitor-ms 4294967296)
+expect_reject(--generator er:n=64,deg=2 --solver israeli_itai
+              --monitor-ms -5)
 # Integer solver-config keys: k=2^32+3 would run as k=3 while echoing
 # the typed value, and a negative cap would become a 2^64-1 budget.
 expect_reject(--generator bipartite:nx=64,ny=64,deg=4 --solver bipartite_mcm

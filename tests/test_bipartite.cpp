@@ -334,7 +334,7 @@ TEST(BipartiteAug, TightnessLadderIsExact) {
   // On the tight chain, an engine capped at 2k-1 is stuck at exactly
   // k/(k+1) of the optimum; the cap 2k+1 solves the instance. This is
   // the Lemma 3.5 boundary realized as an input.
-  for (const int k : {2, 3}) {
+  for (const int k : {2, 3, 4}) {
     const TightChain chain = tight_bipartite_chain(k, 8);
     Matching stuck = Matching::from_edges(chain.graph, chain.matched);
     AugOptions o;

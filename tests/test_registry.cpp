@@ -82,7 +82,8 @@ TEST(Registry, EveryCoreAndSeqAlgorithmIsRegistered) {
   const std::set<std::string> expected = {
       // src/core
       "israeli_itai", "generic_mcm", "bipartite_mcm", "general_mcm",
-      "hoepman_mwm", "class_mwm", "weighted_mwm", "pipelined_max",
+      "hoepman_mwm", "class_mwm", "weighted_mwm", "local_mwm",
+      "pipelined_max",
       // src/seq
       "greedy_mcm", "greedy_mwm", "locally_heaviest_mwm", "hopcroft_karp",
       "blossom", "hungarian", "exact_mcm_small", "exact_mwm_small",

@@ -126,7 +126,8 @@ int main(int argc, char** argv) {
     spec.trace = opts.get("trace", "");
     spec.events = opts.get("events", "");
     spec.telemetry = !opts.get_bool("no-telemetry", false);
-    const long long monitor_ms = opts.get_int("monitor-ms", 0);
+    const std::uint64_t monitor_ms =
+        opts.get_count("monitor-ms", 0, kMaxUnsigned);
     spec.monitor_ms = monitor_ms > 0 ? static_cast<unsigned>(monitor_ms)
                       : opts.get_bool("monitor", false) ? 1000u
                                                         : 0u;
