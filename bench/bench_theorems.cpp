@@ -12,7 +12,7 @@
 //                    [--json false]
 #include <array>
 #include <cmath>
-#include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
