@@ -20,12 +20,12 @@
 namespace lps::bench {
 
 /// RAII --trace=PATH support for the experiment benches: construction
-/// turns on metrics + span recording when the flag is present,
+/// turns on metrics + span recording when the path is non-empty,
 /// destruction stops recording and writes the Chrome trace. Inactive
-/// without the flag.
+/// for an empty path.
 class TraceGuard {
  public:
-  explicit TraceGuard(const Options& opts) : path_(opts.get("trace", "")) {
+  explicit TraceGuard(std::string path) : path_(std::move(path)) {
     if (path_.empty()) return;
     telemetry::set_enabled(true);
     telemetry::Tracer::global().reset();

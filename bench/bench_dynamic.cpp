@@ -71,15 +71,20 @@ struct Row {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+int main(int argc, char** argv) try {
+  const Args opts(argc, argv);
   const bool smoke = opts.get_bool("smoke", false);
-  const std::int64_t max_n = opts.get_int("max-n", smoke ? 4096 : 1048576);
-  const std::int64_t updates_override = opts.get_int("updates", 0);
-  const int sample = static_cast<int>(opts.get_int("sample", smoke ? 6 : 20));
+  const std::int64_t max_n = static_cast<std::int64_t>(
+      opts.get_count("max-n", smoke ? 4096 : 1048576, INT64_MAX));
+  const std::int64_t updates_override =
+      static_cast<std::int64_t>(opts.get_count("updates", 0, INT64_MAX));
+  const int sample =
+      static_cast<int>(opts.get_count("sample", smoke ? 6 : 20, INT32_MAX));
   const bool emit_json = opts.get_bool("json", !smoke);
   const std::string json_path = opts.get("json-path", "BENCH_dynamic.json");
-  const bench::TraceGuard trace(opts);
+  const std::string trace_path = opts.get("trace", "");
+  opts.check_all_used();
+  const bench::TraceGuard trace(trace_path);
 
   bench::print_header(
       "Dynamic matching: incremental maintenance vs solve-from-scratch",
@@ -202,4 +207,6 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << rows.size() << " rows to " << json_path << "\n";
   }
   return ok ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  return reject_input("bench_dynamic", e);
 }

@@ -50,13 +50,16 @@ struct Row {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+int main(int argc, char** argv) try {
+  const Args opts(argc, argv);
   const bool smoke = opts.get_bool("smoke", false);
-  const std::int64_t n = opts.get_int("n", smoke ? 4096 : (1 << 18));
+  const std::int64_t n = static_cast<std::int64_t>(
+      opts.get_count("n", smoke ? 4096 : (1 << 18), kInvalidNode - 1));
   const bool emit_json = opts.get_bool("json", !smoke);
   const std::string json_path = opts.get("json-path", "BENCH_faults.json");
-  const bench::TraceGuard trace(opts);
+  const std::string trace_path = opts.get("trace", "");
+  opts.check_all_used();
+  const bench::TraceGuard trace(trace_path);
 
   bench::print_header(
       "Fault injection: degradation and recovery per failure profile",
@@ -234,4 +237,6 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << rows.size() << " rows to " << json_path << "\n";
   }
   return ok ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  return reject_input("bench_faults", e);
 }

@@ -137,9 +137,12 @@ void lemma36_bound() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) try {
+  Args(argc, argv).check_all_used();
   layer_table();
   random_cross_check();
   lemma36_bound();
   return 0;
+} catch (const std::invalid_argument& e) {
+  return reject_input("bench_fig1_counting", e);
 }

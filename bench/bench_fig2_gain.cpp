@@ -115,8 +115,11 @@ void lemma41_slack() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) try {
+  Args(argc, argv).check_all_used();
   fig2_arithmetic();
   lemma41_slack();
   return 0;
+} catch (const std::invalid_argument& e) {
+  return reject_input("bench_fig2_gain", e);
 }

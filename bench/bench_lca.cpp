@@ -15,20 +15,24 @@
 
 #include "api/runner.hpp"
 #include "bench/bench_common.hpp"
+#include "runtime/thread_pool.hpp"
 
 using namespace lps;
 using bench::fmt;
 
-int main(int argc, char** argv) {
-  const Options opts(argc, argv);
-  const int trials = static_cast<int>(opts.get_int("trials", 3));
-  const std::int64_t max_n = opts.get_int("max-n", 16384);
-  const std::uint64_t queries =
-      static_cast<std::uint64_t>(opts.get_int("queries", 256));
-  const unsigned threads = static_cast<unsigned>(opts.get_int("threads", 1));
+int main(int argc, char** argv) try {
+  const Args opts(argc, argv);
+  const int trials = static_cast<int>(opts.get_count("trials", 3, INT32_MAX));
+  const std::int64_t max_n =
+      static_cast<std::int64_t>(opts.get_count("max-n", 16384, INT64_MAX));
+  const std::uint64_t queries = opts.get_count("queries", 256, UINT64_MAX);
+  const unsigned threads = static_cast<unsigned>(
+      opts.get_count("threads", 1, ThreadPool::kMaxThreads));
   const bool emit_json = opts.get_bool("json", true);
   const std::string json_dir = opts.get("json-dir", "bench/out");
-  const bench::TraceGuard trace(opts);
+  const std::string trace_path = opts.get("trace", "");
+  opts.check_all_used();
+  const bench::TraceGuard trace(trace_path);
 
   bench::print_header(
       "LCA: oracle point queries vs the global solve",
@@ -84,4 +88,6 @@ int main(int argc, char** argv) {
   }
   bench::print_table(t);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return reject_input("bench_lca", e);
 }

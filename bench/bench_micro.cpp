@@ -18,8 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,6 +37,7 @@
 #include "telemetry/monitor.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/bigint.hpp"
+#include "util/options.hpp"
 #include "util/rng.hpp"
 
 namespace lps {
@@ -277,23 +277,31 @@ int run_obs_overhead(unsigned nexp) {
 }  // namespace
 }  // namespace lps
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    for (const auto& [flag, gate] :
-         {std::pair{"--trace-overhead", &lps::run_trace_overhead},
-          std::pair{"--obs-overhead", &lps::run_obs_overhead}}) {
-      const std::size_t len = std::strlen(flag);
-      if (std::strncmp(argv[i], flag, len) != 0) continue;
-      if (argv[i][len] == '\0') return gate(20);
-      if (argv[i][len] == '=') {
-        return gate(static_cast<unsigned>(
-            std::strtoul(argv[i] + len + 1, nullptr, 10)));
-      }
-    }
-  }
+int main(int argc, char** argv) try {
+  // google-benchmark takes its --benchmark_* flags out of argv first.
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const lps::Args args(argc, argv);
+  int (*gate)(unsigned) = nullptr;
+  unsigned nexp = 0;
+  for (const auto& [flag, run] :
+       {std::pair{"trace-overhead", &lps::run_trace_overhead},
+        std::pair{"obs-overhead", &lps::run_obs_overhead}}) {
+    if (!args.has(flag)) continue;
+    if (gate != nullptr) {
+      throw std::invalid_argument(
+          "--trace-overhead and --obs-overhead are exclusive");
+    }
+    gate = run;
+    // Given alone, the flag reads "true" and the gate runs at E = 20.
+    nexp = args.entries().at(flag) == "true" && args.get_bool(flag, true)
+               ? 20
+               : static_cast<unsigned>(args.get_count(flag, 20, 24));
+  }
+  args.check_all_used();
+  if (gate != nullptr) return gate(nexp);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
+} catch (const std::invalid_argument& e) {
+  return lps::reject_input("bench_micro", e);
 }

@@ -17,11 +17,11 @@
 
 using namespace lps;
 
-int main(int argc, char** argv) {
-  const Options opts(argc, argv);
-  const std::size_t ports = static_cast<std::size_t>(opts.get_int("ports", 8));
-  const std::uint64_t slots =
-      static_cast<std::uint64_t>(opts.get_int("slots", 6000));
+int main(int argc, char** argv) try {
+  const Args opts(argc, argv);
+  const std::size_t ports = opts.get_count("ports", 8, SIZE_MAX);
+  const std::uint64_t slots = opts.get_count("slots", 6000, UINT64_MAX);
+  opts.check_all_used();
 
   bench::print_header(
       "SWITCH: VOQ crossbar, schedulers under Bernoulli traffic",
@@ -69,4 +69,6 @@ int main(int argc, char** argv) {
   }
   bench::print_table(t);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return reject_input("bench_switch", e);
 }

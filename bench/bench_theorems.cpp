@@ -78,15 +78,14 @@ double linear_n(const api::RunResult& res) {
 /// Theorem 3.8: O(k^3 log Delta + k^2 log n).
 double theorem38_budget(const api::RunResult& res) {
   const double k = static_cast<double>(
-      api::SolverConfig::parse(res.spec.config).get_int("k", 3));
+      Args("config", res.spec.config).get_count("k", 3, UINT64_MAX));
   const double logd = std::log2(static_cast<double>(res.max_degree) + 2.0);
   return k * k * k * logd + k * k * log_n(res);
 }
 
 /// Theorem 4.5: O(log(1/eps) log n).
 double theorem45_budget(const api::RunResult& res) {
-  const double eps =
-      api::SolverConfig::parse(res.spec.config).get_double("eps", 0.1);
+  const double eps = Args("config", res.spec.config).get_double("eps", 0.1);
   return std::log(1.0 / eps) * log_n(res);
 }
 
@@ -462,12 +461,14 @@ Trials run_row(const Experiment& exp, const Row& row, std::size_t row_index,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Options opts(argc, argv);
-  const int default_trials = static_cast<int>(opts.get_int("trials", 3));
+int main(int argc, char** argv) try {
+  const Args opts(argc, argv);
+  const int default_trials =
+      static_cast<int>(opts.get_count("trials", 3, INT32_MAX));
   const std::string filter = opts.get("filter", "");
   const bool emit_json = opts.get_bool("json", true);
   const std::string json_dir = opts.get("json-dir", "bench/out");
+  opts.check_all_used();
 
   bool any_matched = false;
   bool all_valid = true;
@@ -530,4 +531,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return reject_input("bench_theorems", e);
 }

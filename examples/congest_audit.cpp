@@ -12,11 +12,13 @@
 #include "graph/generators.hpp"
 #include "util/options.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace lps;
-  const Options opts(argc, argv);
-  const int k = static_cast<int>(opts.get_int("kmax", 3));
-  const std::uint64_t seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
+  const Args opts(argc, argv);
+  const int k = static_cast<int>(
+      opts.get_count("kmax", 3, INT32_MAX / 2));  // 2k - 1 fits an int
+  const std::uint64_t seed = opts.get_count("seed", 1, UINT64_MAX);
+  opts.check_all_used();
 
   std::printf("%8s %8s | %10s %14s | %10s %14s\n", "n", "m",
               "congest:R", "congest:maxbit", "local:R", "local:maxbit");
@@ -47,4 +49,6 @@ int main(int argc, char** argv) {
               "algorithm ships whole neighborhoods whose size grows with "
               "the graph — exactly the contrast Sections 3.1 vs 3.2 draw.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return lps::reject_input("congest_audit", e);
 }

@@ -17,12 +17,13 @@
 
 using namespace lps;
 
-int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+int main(int argc, char** argv) try {
+  const Args opts(argc, argv);
   dynamic::SwitchReplayConfig config;
-  config.ports = static_cast<std::size_t>(opts.get_int("ports", 16));
-  config.slots = static_cast<std::uint64_t>(opts.get_int("slots", 20000));
+  config.ports = opts.get_count("ports", 16, SIZE_MAX);
+  config.slots = opts.get_count("slots", 20000, UINT64_MAX);
   config.load = opts.get_double("load", 0.85);
+  opts.check_all_used();
   config.pattern = TrafficPattern::kUniform;
   config.seed = 7;
 
@@ -69,4 +70,6 @@ int main(int argc, char** argv) {
                    static_cast<double>(matcher->stats().updates)
             << "\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return lps::reject_input("dynamic_stream", e);
 }

@@ -19,15 +19,18 @@
 #include "util/options.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace lps;
-  const Options opts(argc, argv);
-  const long n = opts.get_int("n", 20000);
-  const long deg = opts.get_int("deg", 8);
+  const Args opts(argc, argv);
+  const std::uint64_t n = opts.get_count("n", 20000, kInvalidNode - 1);
+  const std::uint64_t deg = opts.get_count("deg", 8, kInvalidNode - 1);
   const std::string solver_name = opts.get("solver", "rank_greedy_mcm");
-  const long num_queries = opts.get_int("queries", 2000);
-  const std::uint64_t seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  const unsigned threads = static_cast<unsigned>(opts.get_int("threads", 0));
+  const std::uint64_t num_queries =
+      opts.get_count("queries", 2000, kInvalidEdge - 1);
+  const std::uint64_t seed = opts.get_count("seed", 1, UINT64_MAX);
+  const unsigned threads = static_cast<unsigned>(
+      opts.get_count("threads", 0, ThreadPool::kMaxThreads));
+  opts.check_all_used();
 
   if (!lca::has_oracle(solver_name)) {
     std::fprintf(stderr, "oracle_queries: no LCA oracle for solver '%s'",
@@ -57,7 +60,7 @@ int main(int argc, char** argv) {
       std::max<EdgeId>(1, g.num_edges() / 100);  // hottest 1% of edges
   std::vector<EdgeId> queries;
   queries.reserve(num_queries);
-  for (long i = 0; i < num_queries; ++i) {
+  for (std::uint64_t i = 0; i < num_queries; ++i) {
     queries.push_back(static_cast<EdgeId>(
         rng.coin() ? rng.below(hot_span) : rng.below(g.num_edges())));
   }
@@ -100,4 +103,6 @@ int main(int argc, char** argv) {
   std::printf("agreement: %zu/%zu answers match the global matching\n",
               queries.size() - disagreements, queries.size());
   return disagreements == 0 ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  return lps::reject_input("oracle_queries", e);
 }

@@ -17,11 +17,27 @@
 #include "api/runner.hpp"
 #include "util/options.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace lps;
-  const Options opts(argc, argv);
+  const Args opts(argc, argv);
+  const bool list = opts.get_bool("list", false);
+  // Odd --n rounds down to an even node count; p's default tracks the
+  // actual instance size, not the requested one.
+  const long half =
+      static_cast<long>(opts.get_count("n", 256, kInvalidNode - 1) / 2);
+  const long n = 2 * half;
+  const double p = opts.get_double("p", 8.0 / static_cast<double>(n));
+  const std::string solver_name = opts.get("solver", "bipartite_mcm");
+  // Empty config = every solver's own defaults (bipartite_mcm: k=3), so
+  // --solver works for any registered name without a matching --config.
+  const std::string config = opts.get("config", "");
+  // The pre-registry interface took --k directly; keep honoring it (a
+  // solver without a 'k' key will reject it loudly).
+  const std::string k = opts.get("k", "");
+  const std::uint64_t seed = opts.get_count("seed", 1, UINT64_MAX);
+  opts.check_all_used();
 
-  if (opts.get_bool("list", false)) {
+  if (list) {
     std::printf("registered solvers:\n");
     for (const std::string& name : api::SolverRegistry::global().names()) {
       const api::MatchingSolver& s = api::SolverRegistry::global().at(name);
@@ -30,21 +46,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Odd --n rounds down to an even node count; p's default tracks the
-  // actual instance size, not the requested one.
-  const long half = opts.get_int("n", 256) / 2;
-  const long n = 2 * half;
   if (n < 2) {
     std::fprintf(stderr, "quickstart: --n must be at least 2\n");
     return 1;
   }
-  const double p = opts.get_double("p", 8.0 / static_cast<double>(n));
-  const std::string solver_name = opts.get("solver", "bipartite_mcm");
-  // Empty config = every solver's own defaults (bipartite_mcm: k=3), so
-  // --solver works for any registered name without a matching --config.
-  const std::string config = opts.get("config", "");
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 1));
 
   // %.17g, not std::to_string: the latter truncates to 6 decimals and
   // rounds small probabilities (p = 8/n for large n) down to zero.
@@ -61,9 +66,7 @@ int main(int argc, char** argv) {
   const api::MatchingSolver& solver =
       api::SolverRegistry::global().at(solver_name);
   api::SolverConfig cfg = api::SolverConfig::parse(config);
-  // The pre-registry interface took --k directly; keep honoring it (a
-  // solver without a 'k' key will reject it loudly).
-  if (opts.has("k")) cfg.set("k", opts.get("k", ""));
+  if (opts.has("k")) cfg.set("k", k);
   // A seed= entry inside --config wins over the --seed flag.
   if (!cfg.seed_was_set()) cfg.seed(seed);
   const api::SolveResult res = solver.solve(inst, cfg);
@@ -90,4 +93,6 @@ int main(int argc, char** argv) {
     std::printf("  %s = %g\n", key.c_str(), value);
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return lps::reject_input("quickstart", e);
 }

@@ -12,17 +12,19 @@
 #include "switch/voq.hpp"
 #include "util/options.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace lps;
-  const Options opts(argc, argv);
+  const Args opts(argc, argv);
   SwitchConfig cfg;
-  cfg.ports = static_cast<std::size_t>(opts.get_int("ports", 16));
+  cfg.ports = opts.get_count("ports", 16, SIZE_MAX);
   cfg.load = opts.get_double("load", 0.9);
-  cfg.slots = static_cast<std::uint64_t>(opts.get_int("slots", 20000));
+  cfg.slots = opts.get_count("slots", 20000, UINT64_MAX);
   cfg.warmup = cfg.slots / 10;
-  cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-
+  cfg.seed = opts.get_count("seed", 1, UINT64_MAX);
   const std::string pattern = opts.get("pattern", "uniform");
+  const std::string name = opts.get("scheduler", "distmcm");
+  opts.check_all_used();
+
   if (pattern == "uniform") cfg.pattern = TrafficPattern::kUniform;
   else if (pattern == "diagonal") cfg.pattern = TrafficPattern::kDiagonal;
   else if (pattern == "logdiagonal") cfg.pattern = TrafficPattern::kLogDiagonal;
@@ -32,7 +34,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string name = opts.get("scheduler", "distmcm");
   std::unique_ptr<Scheduler> scheduler;
   if (name == "pim") scheduler = std::make_unique<PimScheduler>(4, cfg.seed);
   else if (name == "islip") scheduler = std::make_unique<IslipScheduler>(4);
@@ -61,4 +62,6 @@ int main(int argc, char** argv) {
               m.mean_delay, m.p99_delay);
   std::printf("  mean queue occupancy: %.1f cells\n", m.mean_queue);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return lps::reject_input("switch_scheduling", e);
 }

@@ -13,21 +13,24 @@
 #include "api/runner.hpp"
 #include "util/options.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace lps;
-  const Options opts(argc, argv);
-  const long jobs = opts.get_int("jobs", 64);
-  const long workers = opts.get_int("workers", 64);
-  const long degree = opts.get_int("degree", 6);
+  const Args opts(argc, argv);
+  const auto count = [&](const char* key, long fallback) {
+    return static_cast<long>(opts.get_count(key, fallback, kInvalidNode - 1));
+  };
+  const long jobs = count("jobs", 64);
+  const long workers = count("workers", 64);
+  const long degree = count("degree", 6);
+  const double eps = opts.get_double("eps", 0.05);
+  const std::uint64_t seed = opts.get_count("seed", 1, UINT64_MAX);
+  opts.check_all_used();
   if (jobs < 1 || workers < 1 || degree < 1) {
     std::fprintf(stderr,
                  "weighted_assignment: --jobs, --workers, and --degree "
                  "must all be at least 1\n");
     return 1;
   }
-  const double eps = opts.get_double("eps", 0.05);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 1));
 
   // Each job can run on `degree` random workers with a utility in
   // [1, 100] (say, expected revenue).
@@ -78,4 +81,6 @@ int main(int argc, char** argv) {
                       ? static_cast<std::uint64_t>(res.metrics.at("iterations"))
                       : 0));
   return 0;
+} catch (const std::invalid_argument& e) {
+  return lps::reject_input("weighted_assignment", e);
 }

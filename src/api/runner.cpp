@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -36,7 +37,7 @@ namespace {
 
 /// nullopt = no weight model requested; a (possibly empty, when m = 0)
 /// vector otherwise, so zero-edge instances stay weighted.
-std::optional<std::vector<double>> make_weights(SpecArgs& args, EdgeId m,
+std::optional<std::vector<double>> make_weights(const Args& args, EdgeId m,
                                                 Rng& rng) {
   const std::string model = args.get("w", "");
   if (model.empty()) return std::nullopt;
@@ -45,21 +46,21 @@ std::optional<std::vector<double>> make_weights(SpecArgs& args, EdgeId m,
                            args.get_double("whi", 100.0), rng);
   }
   if (model == "integer") {
-    return integer_weights(
-        m, static_cast<std::uint64_t>(args.get_int("wmax", 64)), rng);
+    // Integer weights stay exact in a double up to 2^53.
+    return integer_weights(m, args.get_count("wmax", 64, 1ull << 53), rng);
   }
   if (model == "exp") {
     return exponential_weights(m, args.get_double("wmean", 8.0), rng);
   }
   if (model == "pow2") {
     return power_of_two_weights(
-        m, static_cast<int>(args.get_int("wlevels", 10)), rng);
+        m, static_cast<int>(args.get_count("wlevels", 10, 60)), rng);
   }
   throw std::invalid_argument("generator weight model '" + model +
                               "' not one of uniform/integer/exp/pow2");
 }
 
-Instance finish(SpecArgs& args, Graph g, Rng& rng,
+Instance finish(const Args& args, Graph g, Rng& rng,
                 std::vector<std::uint8_t> side = {}) {
   std::optional<std::vector<double>> w = make_weights(args, g.num_edges(), rng);
   args.check_all_used();
@@ -78,16 +79,11 @@ Instance make_instance(const std::string& spec, std::uint64_t seed) {
   const std::string family = spec.substr(0, colon);
   const std::string kv =
       colon == std::string::npos ? "" : spec.substr(colon + 1);
-  SpecArgs args("generator", family, kv);
+  const Args args("generator '" + family + "'", kv);
   Rng rng(seed);
 
   const auto node_arg = [&](const char* key) {
-    const std::int64_t v = args.require_int(key);
-    if (v < 0 || v > static_cast<std::int64_t>(kInvalidNode) - 1) {
-      throw std::invalid_argument("generator '" + family + "': key '" + key +
-                                  "' out of range: " + std::to_string(v));
-    }
-    return static_cast<NodeId>(v);
+    return static_cast<NodeId>(args.require_count(key, kInvalidNode - 1));
   };
 
   // Sizes are checked in double arithmetic before anything is
@@ -189,10 +185,11 @@ Instance make_instance(const std::string& spec, std::uint64_t seed) {
     return finish(args, random_regular(n, d, rng), rng);
   }
   if (family == "tight_chain") {
-    const std::int64_t k = args.require_int("k");
+    const int k = static_cast<int>(
+        args.require_count("k", std::numeric_limits<int>::max()));
     const NodeId copies = node_arg("copies");
     check_size((2.0 * k + 2) * copies, (2.0 * k + 1) * copies);
-    TightChain tc = tight_bipartite_chain(static_cast<int>(k), copies);
+    TightChain tc = tight_bipartite_chain(k, copies);
     return finish(args, std::move(tc.graph), rng, std::move(tc.side));
   }
   if (family == "greedy_trap") {
@@ -657,9 +654,7 @@ RunResult run_one(const RunSpec& spec) {
         dynamic::make_update_stream(spec.dynamic_stream, spec.instance_seed);
     dyn_matcher = dynamic::make_matcher(
         spec.dynamic, dynamic::DynamicGraph(dyn_stream->initial_nodes),
-        spec.dynamic_config.empty()
-            ? std::map<std::string, std::string>{}
-            : parse_kv_list(spec.dynamic_config));
+        Args("dynamic config", spec.dynamic_config).entries());
   }
   std::unique_ptr<ThreadPool> pool;
   if (spec.threads != 1) {

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
-#include "util/options.hpp"
 
 namespace lps::api {
 
@@ -52,58 +51,23 @@ bool Instance::is_bipartite() const {
 
 SolverConfig SolverConfig::parse(const std::string& spec) {
   SolverConfig out;
-  for (auto& [key, value] : parse_kv_list(spec)) out.set(key, value);
+  const Args args("config", spec);
+  for (const auto& [key, value] : args.entries()) out.set(key, value);
   return out;
 }
 
 SolverConfig& SolverConfig::set(const std::string& key,
                                 const std::string& value) {
+  const Args one("config", {{key, value}});
   if (key == "seed") {
-    seed(parse_count_value(key, value, UINT64_MAX));
+    seed(one.require_count(key, UINT64_MAX));
   } else if (key == "shards") {
     shards(static_cast<unsigned>(
-        parse_count_value(key, value, std::numeric_limits<unsigned>::max())));
+        one.require_count(key, std::numeric_limits<unsigned>::max())));
   } else {
     values_[key] = value;
   }
   return *this;
-}
-
-bool SolverConfig::has(const std::string& key) const {
-  return values_.count(key) != 0;
-}
-
-std::string SolverConfig::get(const std::string& key,
-                              const std::string& fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
-}
-
-std::int64_t SolverConfig::get_int(const std::string& key,
-                                   std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_int_value(key, it->second);
-}
-
-std::uint64_t SolverConfig::get_count(const std::string& key,
-                                     std::uint64_t fallback,
-                                     std::uint64_t max) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_count_value(key, it->second, max);
-}
-
-double SolverConfig::get_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_double_value(key, it->second);
-}
-
-bool SolverConfig::get_bool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_bool_value(key, it->second);
 }
 
 std::string SolverConfig::to_string() const {

@@ -8,8 +8,8 @@
 // The pieces:
 //  * Instance      — a graph, optional edge weights, optional known
 //                    bipartition. One input type for all solvers.
-//  * SolverConfig  — string key/value configuration (parsed with
-//                    util/options' kv grammar) plus the cross-cutting
+//  * SolverConfig  — string key/value configuration (read through
+//                    util/options' Args) plus the cross-cutting
 //                    knobs every algorithm shares: the seed and the
 //                    ExecContext (thread pool, shard request).
 //  * Capabilities  — what a solver accepts (bipartite/general/weighted)
@@ -32,6 +32,7 @@
 #include "graph/matching.hpp"
 #include "runtime/exec_context.hpp"
 #include "runtime/round_stats.hpp"
+#include "util/options.hpp"
 
 namespace lps::api {
 
@@ -74,13 +75,13 @@ class Instance {
 
 /// String key/value configuration plus the two universal knobs. Keys
 /// are solver-specific (see MatchingSolver::config_keys); values parse
-/// on access with util/options' scalar grammar.
+/// on access through args().
 class SolverConfig {
  public:
   SolverConfig() = default;
 
-  /// Parse a `k1=v1,k2=v2` list (util/options kv grammar); the reserved
-  /// keys `seed` and `shards` set those knobs directly.
+  /// Parse a `k1=v1,k2=v2` list (util/options' Args grammar); the
+  /// reserved keys `seed` and `shards` set those knobs directly.
   static SolverConfig parse(const std::string& spec);
 
   SolverConfig& set(const std::string& key, const std::string& value);
@@ -104,15 +105,8 @@ class SolverConfig {
     return *this;
   }
 
-  bool has(const std::string& key) const;
-  std::string get(const std::string& key, const std::string& fallback) const;
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  /// An integer in [0, max] (util/options parse_count_value): negative or
-  /// oversized values throw instead of wrapping in the caller's cast.
-  std::uint64_t get_count(const std::string& key, std::uint64_t fallback,
-                          std::uint64_t max = UINT64_MAX) const;
-  double get_double(const std::string& key, double fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
+  /// The solver-specific entries as a reader (diagnostics say "config").
+  Args args() const { return Args("config", values_); }
 
   std::uint64_t seed() const noexcept { return seed_; }
   const ExecContext& exec() const noexcept { return exec_; }

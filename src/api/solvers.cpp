@@ -98,15 +98,15 @@ constexpr std::uint64_t kMaxK = std::numeric_limits<int>::max() / 2;
 constexpr std::uint64_t kMaxGeneralMcmK = 28;
 
 int config_k(const SolverConfig& c, std::uint64_t max_k = kMaxK) {
-  const int k = static_cast<int>(c.get_count("k", 3, max_k));
+  const int k = static_cast<int>(c.args().get_count("k", 3, max_k));
   if (k < 1) throw std::invalid_argument("config: k must be >= 1");
   return k;
 }
 
 /// local_mwm's ball radius 2(2 beta + 1) must fit in an int.
 int config_beta(const SolverConfig& c) {
-  const int beta = static_cast<int>(
-      c.get_count("beta", 3, (std::numeric_limits<int>::max() - 2) / 4));
+  const int beta = static_cast<int>(c.args().get_count(
+      "beta", 3, (std::numeric_limits<int>::max() - 2) / 4));
   if (beta < 1) throw std::invalid_argument("config: beta must be >= 1");
   return beta;
 }
@@ -115,12 +115,18 @@ int config_beta(const SolverConfig& c) {
 /// eps consumers require (0, 1) strictly.
 double config_eps(const SolverConfig& c, double fallback,
                   bool inclusive_one = false) {
-  const double eps = c.get_double("eps", fallback);
+  const double eps = c.args().get_double("eps", fallback);
   if (eps <= 0.0 || eps > 1.0 || (!inclusive_one && eps == 1.0)) {
     throw std::invalid_argument(std::string("config: eps must be in (0, 1") +
                                 (inclusive_one ? "]" : ")"));
   }
   return eps;
+}
+
+/// An integer key that defaults to 0 (every cap documents 0 as "use
+/// the default budget").
+std::uint64_t config_count(const SolverConfig& c, const char* key) {
+  return c.args().get_count(key, 0, UINT64_MAX);
 }
 
 /// True when the config sets a truncating cap to a nonzero value: the
@@ -131,7 +137,7 @@ double config_eps(const SolverConfig& c, double fallback,
 bool truncated(const SolverConfig& c,
                std::initializer_list<const char*> cap_keys) {
   for (const char* key : cap_keys) {
-    if (c.get_count(key, 0) != 0) return true;
+    if (config_count(c, key) != 0) return true;
   }
   return false;
 }
@@ -156,15 +162,16 @@ void register_core(SolverRegistry& reg) {
       [](const SolverConfig& c) {
         // Under injected faults maximality is best-effort (resync may
         // exhaust its budget), so the 1/2 guarantee no longer applies.
-        if (!c.get("faults", "").empty()) return 0.0;
+        if (!c.args().get("faults", "").empty()) return 0.0;
         return truncated(c, {"max_phases"}) ? 0.0 : 0.5;
       },
       [](const Instance& inst, const SolverConfig& cfg) {
         IsraeliItaiOptions o;
         o.seed = cfg.seed();
-        o.max_phases = cfg.get_count("max_phases", 0);
+        const Args args = cfg.args();
+        o.max_phases = args.get_count("max_phases", 0, kIsraeliItaiMaxPhases);
         o.exec = cfg.exec();
-        o.faults = cfg.get("faults", "");
+        o.faults = args.get("faults", "");
         auto res = israeli_itai(inst.graph(), o);
         SolveResult out =
             make_result(std::move(res.matching), res.stats, res.converged);
@@ -186,9 +193,11 @@ void register_core(SolverRegistry& reg) {
         GenericMcmOptions o;
         o.eps = config_eps(cfg, 0.34, /*inclusive_one=*/true);
         o.seed = cfg.seed();
-        o.max_conflict_nodes = cfg.get_count("max_conflict_nodes", 4 << 20);
-        o.use_abi_mis = cfg.get_bool("use_abi_mis", false);
-        o.check_invariants = cfg.get_bool("check_invariants", false);
+        const Args args = cfg.args();
+        o.max_conflict_nodes =
+            args.get_count("max_conflict_nodes", 4 << 20, UINT64_MAX);
+        o.use_abi_mis = args.get_bool("use_abi_mis", false);
+        o.check_invariants = args.get_bool("check_invariants", false);
         o.exec = cfg.exec();
         auto res = generic_mcm(inst.graph(), o);
         SolveResult out = make_result(std::move(res.matching), res.stats);
@@ -214,7 +223,7 @@ void register_core(SolverRegistry& reg) {
         o.k = config_k(cfg);
         o.seed = cfg.seed();
         o.max_iterations_per_phase =
-            cfg.get_count("max_iterations_per_phase", 0);
+            config_count(cfg, "max_iterations_per_phase");
         o.exec = cfg.exec();
         auto res = bipartite_mcm(inst.graph(), side, o);
         SolveResult out =
@@ -250,7 +259,7 @@ void register_core(SolverRegistry& reg) {
         GeneralMcmOptions o;
         o.k = config_k(cfg, kMaxGeneralMcmK);
         o.seed = cfg.seed();
-        const std::string mode = cfg.get("mode", "adaptive");
+        const std::string mode = cfg.args().get("mode", "adaptive");
         if (mode == "paper") {
           o.mode = GeneralMcmOptions::Mode::kPaper;
         } else if (mode == "adaptive") {
@@ -259,10 +268,10 @@ void register_core(SolverRegistry& reg) {
           throw std::invalid_argument(
               "general_mcm: mode must be 'paper' or 'adaptive'");
         }
-        o.max_iterations = cfg.get_count("max_iterations", 0);
-        o.empty_streak_stop = cfg.get_count("empty_streak_stop", 0);
-        o.oracle_optimum_size = cfg.get_count("oracle_optimum_size", 0);
-        o.max_aug_iterations = cfg.get_count("max_aug_iterations", 0);
+        o.max_iterations = config_count(cfg, "max_iterations");
+        o.empty_streak_stop = config_count(cfg, "empty_streak_stop");
+        o.oracle_optimum_size = config_count(cfg, "oracle_optimum_size");
+        o.max_aug_iterations = config_count(cfg, "max_aug_iterations");
         o.exec = cfg.exec();
         auto res = general_mcm(inst.graph(), o);
         // Converged = the adaptive exit fired or the full analysis
@@ -289,7 +298,7 @@ void register_core(SolverRegistry& reg) {
       },
       [](const Instance& inst, const SolverConfig& cfg) {
         HoepmanOptions o;
-        o.max_rounds = cfg.get_count("max_rounds", 0);
+        o.max_rounds = config_count(cfg, "max_rounds");
         o.exec = cfg.exec();
         auto res = hoepman_mwm(inst.weighted_graph(), o);
         return make_result(std::move(res.matching), res.stats, res.converged);
@@ -306,8 +315,8 @@ void register_core(SolverRegistry& reg) {
       [](const Instance& inst, const SolverConfig& cfg) {
         ClassMwmOptions o;
         o.seed = cfg.seed();
-        o.class_base = cfg.get_double("class_base", 2.0);
-        o.max_phases_per_class = cfg.get_count("max_phases_per_class", 0);
+        o.class_base = cfg.args().get_double("class_base", 2.0);
+        o.max_phases_per_class = config_count(cfg, "max_phases_per_class");
         o.exec = cfg.exec();
         auto res = class_mwm(inst.weighted_graph(), o);
         SolveResult out =
@@ -330,17 +339,18 @@ void register_core(SolverRegistry& reg) {
       [](const Instance& inst, const SolverConfig& cfg) {
         WeightedMwmOptions o;
         o.eps = config_eps(cfg, 0.1);
-        o.delta = cfg.get_double("delta", 0.2);
+        const Args args = cfg.args();
+        o.delta = args.get_double("delta", 0.2);
         o.seed = cfg.seed();
         // "class" leaves black_box empty: weighted_mwm's default.
-        const std::string box = cfg.get("black_box", "class");
+        const std::string box = args.get("black_box", "class");
         if (box == "greedy") {
           o.black_box = greedy_black_box();
         } else if (box != "class") {
           throw std::invalid_argument(
               "weighted_mwm: black_box must be 'class' or 'greedy'");
         }
-        o.max_iterations = cfg.get_count("max_iterations", 0);
+        o.max_iterations = config_count(cfg, "max_iterations");
         o.exec = cfg.exec();
         auto res = weighted_mwm(inst.weighted_graph(), o);
         // Lemma 4.3's iteration budget; an explicit cap below it makes
@@ -390,15 +400,14 @@ void register_core(SolverRegistry& reg) {
       {"chunk_bits", "root"}, [](const SolverConfig&) { return 1.0; },
       [](const Instance& inst, const SolverConfig& cfg) {
         const Graph& g = inst.graph();
+        const Args args = cfg.args();
         const int chunk_bits =
-            static_cast<int>(cfg.get_count("chunk_bits", 8, 32));
-        const std::int64_t root_raw = cfg.get_int("root", 0);
-        if (root_raw < 0 || root_raw >= static_cast<std::int64_t>(g.num_nodes())) {
-          throw std::invalid_argument(
-              "pipelined_max: root " + std::to_string(root_raw) +
-              " out of range [0, " + std::to_string(g.num_nodes()) + ")");
+            static_cast<int>(args.get_count("chunk_bits", 8, 32));
+        if (g.num_nodes() == 0) {
+          throw std::invalid_argument("pipelined_max: empty graph, no root");
         }
-        const NodeId root = static_cast<NodeId>(root_raw);
+        const NodeId root = static_cast<NodeId>(
+            args.get_count("root", 0, g.num_nodes() - 1));
         std::vector<std::optional<BigCounter>> values(g.num_nodes());
         for (NodeId v = 0; v < g.num_nodes(); ++v) {
           values[v] = BigCounter(g.degree(v));

@@ -17,6 +17,7 @@
 // never accepts itself).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 
@@ -114,5 +115,9 @@ DistMatchingResult israeli_itai(const Graph& g,
 /// comfortably past the O(log n) w.h.p. convergence point. Exported so
 /// the lca oracle simulates exactly the budget the solver runs.
 std::uint64_t israeli_itai_default_max_phases(NodeId n);
+
+/// The largest max_phases both the solver and its LCA oracle (which
+/// indexes phases with int32) can hold; both reject a larger request.
+constexpr std::uint64_t kIsraeliItaiMaxPhases = INT32_MAX;
 
 }  // namespace lps

@@ -396,40 +396,25 @@ void ScratchRematchMatcher::resolve() { adopt_registry_solution(solver_, seed_);
 std::unique_ptr<DynamicMatcher> make_matcher(
     const std::string& name, DynamicGraph g,
     const std::map<std::string, std::string>& config) {
-  const auto reject_unknown = [&](std::initializer_list<const char*> known) {
-    for (const auto& [key, _] : config) {
-      if (std::find_if(known.begin(), known.end(), [&](const char* k) {
-            return key == k;
-          }) == known.end()) {
-        throw std::invalid_argument("make_matcher: maintainer '" + name +
-                                    "' does not understand key '" + key + "'");
-      }
-    }
-  };
-  const auto get = [&](const char* key, const std::string& fallback) {
-    const auto it = config.find(key);
-    return it == config.end() ? fallback : it->second;
-  };
+  const Args args("maintainer '" + name + "'", config);
   if (name == "greedy") {
-    reject_unknown({});
+    args.check_all_used();
     return std::make_unique<GreedyDynamicMatcher>(std::move(g));
   }
   if (name == "repair") {
-    reject_unknown({"eps", "interval", "rebuild", "rebuild_frac"});
     RepairDynamicMatcher::Options options;
-    options.eps = parse_double_value("eps", get("eps", "0.2"));
-    options.interval =
-        parse_count_value("interval", get("interval", "32"), UINT64_MAX);
-    options.rebuild = get("rebuild", "");
-    options.rebuild_frac =
-        parse_double_value("rebuild_frac", get("rebuild_frac", "0.25"));
+    options.eps = args.get_double("eps", 0.2);
+    options.interval = args.get_count("interval", 32, UINT64_MAX);
+    options.rebuild = args.get("rebuild", "");
+    options.rebuild_frac = args.get_double("rebuild_frac", 0.25);
+    args.check_all_used();
     return std::make_unique<RepairDynamicMatcher>(std::move(g), options);
   }
   if (name == "scratch") {
-    reject_unknown({"solver", "seed"});
-    return std::make_unique<ScratchRematchMatcher>(
-        std::move(g), get("solver", "greedy_mcm"),
-        parse_count_value("seed", get("seed", "1"), UINT64_MAX));
+    const std::string solver = args.get("solver", "greedy_mcm");
+    const std::uint64_t seed = args.get_count("seed", 1, UINT64_MAX);
+    args.check_all_used();
+    return std::make_unique<ScratchRematchMatcher>(std::move(g), solver, seed);
   }
   throw std::invalid_argument("make_matcher: unknown maintainer '" + name +
                               "' (greedy | repair | scratch)");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -136,7 +137,15 @@ struct WeightModel {
   }
 };
 
-WeightModel weight_model(SpecArgs& args) {
+/// A vertex count that fits the 32-bit node ids.
+NodeId node_count(const Args& args, const char* key) {
+  return static_cast<NodeId>(args.require_count(key, kInvalidNode - 1));
+}
+
+/// Bound on m0, updates and window, so that m0 + updates cannot wrap.
+constexpr std::uint64_t kMaxLength = kInvalidEdge - 1;
+
+WeightModel weight_model(const Args& args) {
   WeightModel w;
   w.lo = args.get_double("wlo", 1.0);
   w.hi = args.get_double("whi", w.lo);
@@ -172,11 +181,10 @@ void build_initial(StreamSpec& out, Shadow& shadow, std::uint64_t m0,
   }
 }
 
-StreamSpec churn_stream(SpecArgs& args, Rng& rng) {
-  const NodeId n = static_cast<NodeId>(args.require_int("n"));
-  const std::uint64_t m0 = static_cast<std::uint64_t>(args.get_int("m0", 0));
-  const std::uint64_t updates =
-      static_cast<std::uint64_t>(args.require_int("updates"));
+StreamSpec churn_stream(const Args& args, Rng& rng) {
+  const NodeId n = node_count(args, "n");
+  const std::uint64_t m0 = args.get_count("m0", 0, kMaxLength);
+  const std::uint64_t updates = args.require_count("updates", kMaxLength);
   const double insert_frac = args.get_double("insert", 0.5);
   const double vertex_frac = args.get_double("vertex", 0.0);
   const double reweight_frac = args.get_double("reweight", 0.0);
@@ -226,12 +234,10 @@ StreamSpec churn_stream(SpecArgs& args, Rng& rng) {
   return out;
 }
 
-StreamSpec window_stream(SpecArgs& args, Rng& rng) {
-  const NodeId n = static_cast<NodeId>(args.require_int("n"));
-  const std::uint64_t updates =
-      static_cast<std::uint64_t>(args.require_int("updates"));
-  const std::uint64_t window =
-      static_cast<std::uint64_t>(args.require_int("window"));
+StreamSpec window_stream(const Args& args, Rng& rng) {
+  const NodeId n = node_count(args, "n");
+  const std::uint64_t updates = args.require_count("updates", kMaxLength);
+  const std::uint64_t window = args.require_count("window", kMaxLength);
   const WeightModel w = weight_model(args);
   args.check_all_used();
   if (n < 2 || window == 0) {
@@ -256,11 +262,11 @@ StreamSpec window_stream(SpecArgs& args, Rng& rng) {
   return out;
 }
 
-StreamSpec pa_stream(SpecArgs& args, Rng& rng) {
-  const NodeId n0 = static_cast<NodeId>(args.require_int("n0"));
-  const std::uint64_t updates =
-      static_cast<std::uint64_t>(args.require_int("updates"));
-  const int attach = static_cast<int>(args.get_int("attach", 2));
+StreamSpec pa_stream(const Args& args, Rng& rng) {
+  const NodeId n0 = node_count(args, "n0");
+  const std::uint64_t updates = args.require_count("updates", kMaxLength);
+  const int attach = static_cast<int>(
+      args.get_count("attach", 2, std::numeric_limits<int>::max()));
   const WeightModel w = weight_model(args);
   args.check_all_used();
   if (n0 < 2 || attach < 1) {
@@ -296,11 +302,10 @@ StreamSpec pa_stream(SpecArgs& args, Rng& rng) {
   return out;
 }
 
-StreamSpec adversarial_stream(SpecArgs& args, Rng& rng) {
-  const NodeId n = static_cast<NodeId>(args.require_int("n"));
-  const std::uint64_t m0 = static_cast<std::uint64_t>(args.get_int("m0", 0));
-  const std::uint64_t updates =
-      static_cast<std::uint64_t>(args.require_int("updates"));
+StreamSpec adversarial_stream(const Args& args, Rng& rng) {
+  const NodeId n = node_count(args, "n");
+  const std::uint64_t m0 = args.get_count("m0", 0, kMaxLength);
+  const std::uint64_t updates = args.require_count("updates", kMaxLength);
   const double insert_frac = args.get_double("insert", 0.5);
   const WeightModel w = weight_model(args);
   args.check_all_used();
@@ -354,7 +359,7 @@ StreamSpec make_update_stream(const std::string& spec, std::uint64_t seed) {
   const std::string family = spec.substr(0, colon);
   const std::string kv =
       colon == std::string::npos ? "" : spec.substr(colon + 1);
-  SpecArgs args("update stream", family, kv);
+  const Args args("update stream '" + family + "'", kv);
   Rng rng(seed);
   if (family == "churn") return churn_stream(args, rng);
   if (family == "window") return window_stream(args, rng);

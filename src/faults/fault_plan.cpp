@@ -9,26 +9,15 @@ namespace lps::faults {
 
 namespace {
 
-double require_prob(SpecArgs& args, const std::string& key, double fallback) {
+double require_prob(const Args& args, const std::string& key,
+                    double fallback) {
   const double p = args.get_double(key, fallback);
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {  // NaN included
     throw std::invalid_argument("fault plan: '" + key +
                                 "' must lie in [0,1], got " +
                                 std::to_string(p));
   }
   return p;
-}
-
-std::int64_t require_range(SpecArgs& args, const std::string& key,
-                           std::int64_t fallback, std::int64_t lo,
-                           std::int64_t hi) {
-  const std::int64_t v = args.get_int(key, fallback);
-  if (v < lo || v > hi) {
-    throw std::invalid_argument(
-        "fault plan: '" + key + "' must lie in [" + std::to_string(lo) + "," +
-        std::to_string(hi) + "], got " + std::to_string(v));
-  }
-  return v;
 }
 
 }  // namespace
@@ -41,12 +30,12 @@ FaultPlan parse_fault_plan(const std::string& spec) {
   }
   FaultPlan plan;
   plan.name = spec.substr(0, colon);
-  SpecArgs args("fault plan", plan.name, spec.substr(colon + 1));
+  const Args args("fault plan '" + plan.name + "'", spec.substr(colon + 1));
 
   plan.drop = require_prob(args, "drop", 0.0);
   plan.dup = require_prob(args, "dup", 0.0);
-  plan.delay_rounds = static_cast<std::uint32_t>(
-      require_range(args, "delay", 0, 0, 64));
+  plan.delay_rounds =
+      static_cast<std::uint32_t>(args.get_count("delay", 0, 64));
   // A plan that bounds the delay implies some messages are delayed.
   plan.delay_p =
       require_prob(args, "delay_p", plan.delay_rounds > 0 ? 0.25 : 0.0);
@@ -54,13 +43,16 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     throw std::invalid_argument(
         "fault plan: 'delay_p' needs 'delay' (max extra rounds) > 0");
   }
-  plan.reorder = parse_bool_value("reorder", args.get("reorder", "false"));
+  plan.reorder = args.get_bool("reorder", false);
   plan.flap = require_prob(args, "flap", 0.0);
   plan.down_epochs =
-      static_cast<std::uint32_t>(require_range(args, "down", 1, 1, 1024));
+      static_cast<std::uint32_t>(args.get_count("down", 1, 1024));
+  if (plan.down_epochs == 0) {
+    throw std::invalid_argument("fault plan: 'down' must be at least 1");
+  }
   plan.adversarial = require_prob(args, "adversarial", 0.0);
-  plan.epochs = static_cast<std::uint32_t>(require_range(
-      args, "epochs", plan.graph_faults() ? 4 : 0, 0, 1 << 20));
+  plan.epochs = static_cast<std::uint32_t>(
+      args.get_count("epochs", plan.graph_faults() ? 4 : 0, 1 << 20));
   args.check_all_used();
 
   // One uniform draw decides each message's fate, so the per-message

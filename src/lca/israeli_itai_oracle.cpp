@@ -1,6 +1,5 @@
 #include "lca/israeli_itai_oracle.hpp"
 
-#include <stdexcept>
 #include <vector>
 
 #include "core/israeli_itai.hpp"
@@ -26,19 +25,10 @@ IsraeliItaiOracle::IsraeliItaiOracle(const Graph& g,
       node_(memo_capacity(opts)),
       s0_(memo_capacity(opts)),
       s1_(memo_capacity(opts)) {
-  std::int64_t max_phases = 0;
-  for (const auto& [key, value] : opts.config) {
-    if (key == "max_phases") {
-      max_phases = parse_int_value(key, value);
-      if (max_phases < 0) {
-        throw std::invalid_argument(
-            "israeli_itai oracle: max_phases must be >= 0");
-      }
-    } else {
-      throw std::invalid_argument(
-          "israeli_itai oracle: unknown config key '" + key + "'");
-    }
-  }
+  const Args args("israeli_itai oracle", opts.config);
+  const std::uint64_t max_phases =
+      args.get_count("max_phases", 0, kIsraeliItaiMaxPhases);
+  args.check_all_used();
   max_phases_ = static_cast<std::int32_t>(
       max_phases != 0 ? max_phases
                       : israeli_itai_default_max_phases(g.num_nodes()));

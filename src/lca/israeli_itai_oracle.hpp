@@ -41,7 +41,8 @@ namespace lps::lca {
 class IsraeliItaiOracle final : public MatchingOracle {
  public:
   /// Accepted config key: max_phases (0 or absent = the solver's
-  /// default budget). Unknown keys throw std::invalid_argument.
+  /// default budget; at most kIsraeliItaiMaxPhases, as for the solver).
+  /// Unknown keys and larger budgets throw std::invalid_argument.
   IsraeliItaiOracle(const Graph& g, const OracleOptions& opts);
 
   std::string name() const override { return "israeli_itai"; }

@@ -1,9 +1,10 @@
 #include "lca/rank_greedy.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 #include <vector>
+
+#include "util/options.hpp"
 
 namespace lps::lca {
 
@@ -36,11 +37,7 @@ RankGreedyOracle::RankGreedyOracle(const Graph& g, const OracleOptions& opts)
       seed_(opts.seed),
       memo_(opts.cache_capacity != 0 ? opts.cache_capacity
                                      : kDefaultEdgeMemo) {
-  if (!opts.config.empty()) {
-    throw std::invalid_argument(
-        "rank_greedy_mcm oracle: no config keys accepted, got '" +
-        opts.config.begin()->first + "'");
-  }
+  Args("rank_greedy_mcm oracle", opts.config).check_all_used();
 }
 
 std::vector<EdgeId> RankGreedyOracle::lower_ranked_neighbors(EdgeId e) {

@@ -1,6 +1,7 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "telemetry/telemetry.hpp"
@@ -8,6 +9,10 @@
 namespace lps {
 
 ThreadPool::ThreadPool(unsigned threads) {
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument("ThreadPool: more than " +
+                                std::to_string(kMaxThreads) + " threads");
+  }
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }

@@ -21,6 +21,11 @@ namespace lps {
 
 class ThreadPool {
  public:
+  /// Cap on an explicit thread count, well above any host's core count:
+  /// a larger request (a wrapped -1, say) throws std::invalid_argument
+  /// before any thread starts. Every `threads` flag reads with this bound.
+  static constexpr unsigned kMaxThreads = 1024;
+
   /// threads == 0 selects hardware_concurrency(); threads == 1 runs
   /// everything inline on the caller.
   explicit ThreadPool(unsigned threads = 0);

@@ -1,8 +1,9 @@
 #include "util/options.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 
 namespace lps {
 
@@ -15,10 +16,17 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
+/// 1 = true, 0 = false, -1 = not a boolean literal.
+int bool_literal(const std::string& v) {
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return 1;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return 0;
+  return -1;
+}
+
 }  // namespace
 
-std::map<std::string, std::string> parse_kv_list(const std::string& spec) {
-  std::map<std::string, std::string> out;
+Args::Args(std::string context, const std::string& spec)
+    : context_(std::move(context)) {
   std::size_t pos = 0;
   while (pos <= spec.size()) {
     std::size_t comma = spec.find(',', pos);
@@ -27,162 +35,151 @@ std::map<std::string, std::string> parse_kv_list(const std::string& spec) {
     pos = comma + 1;
     if (entry.empty()) continue;
     const auto eq = entry.find('=');
-    std::string key = eq == std::string::npos ? entry : entry.substr(0, eq);
-    std::string value =
-        eq == std::string::npos ? std::string("true") : entry.substr(eq + 1);
-    key = trim(key);
-    if (key.empty()) {
-      throw std::invalid_argument("parse_kv_list: empty key in '" + spec + "'");
+    const std::string key = trim(entry.substr(0, eq));
+    if (key.empty()) fail("empty key in '" + spec + "'");
+    if (!values_.emplace(key, eq == std::string::npos
+                                  ? std::string("true")
+                                  : trim(entry.substr(eq + 1)))
+             .second) {
+      fail("duplicate key '" + key + "' in '" + spec + "'");
     }
-    if (!out.emplace(key, trim(value)).second) {
-      throw std::invalid_argument("parse_kv_list: duplicate key '" + key +
-                                  "' in '" + spec + "'");
+  }
+}
+
+Args::Args(std::string context, std::map<std::string, std::string> entries)
+    : context_(std::move(context)), values_(std::move(entries)) {}
+
+Args::Args(int argc, char** argv) : command_line_(true) {
+  for (int i = 1; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      tokens_.emplace_back(std::move(arg), "");
+      continue;
     }
+    const auto eq = arg.find('=');
+    const std::string key = arg.substr(2, eq == std::string::npos
+                                              ? std::string::npos
+                                              : eq - 2);
+    std::string value = "true";
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      value = argv[++i];
+      tokens_.emplace_back(value, key);
+    } else {
+      valueless_.insert(key);
+    }
+    if (key.empty()) fail("malformed flag '" + arg + "'");
+    if (!values_.emplace(key, std::move(value)).second) {
+      fail("repeated flag '" + name(key) + "'");
+    }
+  }
+}
+
+const std::string* Args::find(const std::string& key) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return nullptr;
+  used_.insert(key);
+  return &it->second;
+}
+
+const std::string* Args::value_of(const std::string& key) const {
+  const std::string* v = find(key);
+  if (v != nullptr && valueless_.count(key) != 0) {
+    fail("flag '" + name(key) + "' needs a value");
+  }
+  return v;
+}
+
+std::string Args::name(const std::string& key) const {
+  return command_line_ ? "--" + key : key;
+}
+
+void Args::fail(const std::string& message) const {
+  throw std::invalid_argument(context_.empty() ? message
+                                               : context_ + ": " + message);
+}
+
+std::string Args::get(const std::string& key,
+                      const std::string& fallback) const {
+  const std::string* v = value_of(key);
+  return v != nullptr ? *v : fallback;
+}
+
+bool Args::get_bool(const std::string& key, bool fallback) const {
+  const std::string* v = find(key);
+  if (v == nullptr) return fallback;
+  const int b = bool_literal(*v);
+  if (b >= 0) return b == 1;
+  const bool detachable = std::any_of(
+      tokens_.begin(), tokens_.end(),
+      [&](const auto& token) { return token.second == key; });
+  if (!detachable) fail("bad boolean for '" + name(key) + "': '" + *v + "'");
+  bare_flags_.insert(key);
+  return true;
+}
+
+double Args::get_double(const std::string& key, double fallback) const {
+  const std::string* v = value_of(key);
+  if (v == nullptr) return fallback;
+  errno = 0;
+  char* end = nullptr;
+  const double out = std::strtod(v->c_str(), &end);
+  if (v->empty() || *end != '\0' || errno == ERANGE) {
+    fail("bad number for '" + name(key) + "': '" + *v + "'");
   }
   return out;
 }
 
-std::int64_t parse_int_value(const std::string& key, const std::string& v) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t out = std::stoll(v, &used);
-    if (used != v.size()) throw std::invalid_argument("trailing characters");
-    return out;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad integer for '" + key + "': '" + v + "'");
-  }
-}
-
-std::uint64_t parse_count_value(const std::string& key, const std::string& v,
-                                std::uint64_t max) {
-  std::uint64_t n = 0;
-  try {
-    std::size_t used = 0;
-    n = std::stoull(v, &used);
-    if (used != v.size()) throw std::invalid_argument("trailing characters");
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad integer for '" + key + "': '" + v + "'");
-  }
-  // stoull accepts a leading '-' and wraps "-1" to 2^64-1.
-  const std::size_t first = v.find_first_not_of(" \t\n\v\f\r");
-  if (v[first] == '-' || n > max) {
-    throw std::invalid_argument("bad count for '" + key + "': '" + v +
-                                "' (expected 0.." + std::to_string(max) + ")");
+std::uint64_t Args::get_count(const std::string& key, std::uint64_t fallback,
+                              std::uint64_t max) const {
+  const std::string* v = value_of(key);
+  if (v == nullptr) return fallback;
+  // Digits only: strtoull would accept a sign (and wrap "-1") or spaces.
+  const bool digits =
+      !v->empty() && v->find_first_not_of("0123456789") == std::string::npos;
+  errno = 0;
+  const std::uint64_t n = digits ? std::strtoull(v->c_str(), nullptr, 10) : 0;
+  if (!digits || errno == ERANGE || n > max) {
+    fail("bad count for '" + name(key) + "': '" + *v + "' (expected 0.." +
+         std::to_string(max) + ")");
   }
   return n;
 }
 
-double parse_double_value(const std::string& key, const std::string& v) {
-  try {
-    std::size_t used = 0;
-    const double out = std::stod(v, &used);
-    if (used != v.size()) throw std::invalid_argument("trailing characters");
-    return out;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad number for '" + key + "': '" + v + "'");
+std::uint64_t Args::require_count(const std::string& key,
+                                  std::uint64_t max) const {
+  if (!has(key)) {
+    fail(std::string("missing required ") + (command_line_ ? "flag" : "key") +
+         " '" + name(key) + "'");
   }
+  return get_count(key, 0, max);
 }
 
-bool parse_bool_value(const std::string& key, const std::string& v) {
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("bad boolean for '" + key + "': '" + v + "'");
-}
-
-std::int64_t SpecArgs::require_int(const std::string& key) {
-  const auto it = values_.find(key);
-  if (it == values_.end()) {
-    throw std::invalid_argument(prefix() + ": missing required key '" + key +
-                                "'");
+std::vector<std::string> Args::positional() const {
+  positional_read_ = true;
+  std::vector<std::string> out;
+  for (const auto& [token, flag] : tokens_) {
+    if (flag.empty() || bare_flags_.count(flag) != 0) out.push_back(token);
   }
-  used_.push_back(key);
-  return parse_int_value(key, it->second);
+  return out;
 }
 
-std::int64_t SpecArgs::get_int(const std::string& key, std::int64_t fallback) {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  used_.push_back(key);
-  return parse_int_value(key, it->second);
-}
-
-double SpecArgs::get_double(const std::string& key, double fallback) {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  used_.push_back(key);
-  return parse_double_value(key, it->second);
-}
-
-std::string SpecArgs::get(const std::string& key, const std::string& fallback) {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  used_.push_back(key);
-  return it->second;
-}
-
-void SpecArgs::check_all_used() const {
-  for (const auto& [key, _] : values_) {
-    if (std::find(used_.begin(), used_.end(), key) == used_.end()) {
-      throw std::invalid_argument(prefix() + ": unknown key '" + key + "'");
+void Args::check_all_used() const {
+  for (const auto& [key, value] : values_) {
+    if (used_.count(key) == 0) {
+      fail(std::string("unknown ") + (command_line_ ? "flag" : "key") + " '" +
+           name(key) + "'");
     }
   }
+  if (positional_read_) return;
+  const std::vector<std::string> stray = positional();
+  if (!stray.empty()) fail("unexpected argument '" + stray[0] + "'");
 }
 
-Options::Options(int argc, char** argv) {
-  program_ = argc > 0 ? argv[0] : "";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
-    }
-    arg = arg.substr(2);
-    const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[++i];
-    } else {
-      values_[arg] = "true";
-    }
-  }
-}
-
-bool Options::has(const std::string& key) const {
-  return values_.count(key) != 0;
-}
-
-std::string Options::get(const std::string& key,
-                         const std::string& fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
-}
-
-std::int64_t Options::get_int(const std::string& key,
-                              std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_int_value("--" + key, it->second);
-}
-
-std::uint64_t Options::get_count(const std::string& key,
-                                std::uint64_t fallback,
-                                std::uint64_t max) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_count_value("--" + key, it->second, max);
-}
-
-double Options::get_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_double_value("--" + key, it->second);
-}
-
-bool Options::get_bool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_bool_value("--" + key, it->second);
+int reject_input(const char* program, const std::invalid_argument& e) {
+  std::fprintf(stderr, "%s: %s\n", program, e.what());
+  return 2;
 }
 
 }  // namespace lps

@@ -1,82 +1,87 @@
-// Tiny command-line option parser for the bench and example binaries,
-// plus the shared key/value parsing that api::SolverConfig builds on.
-// Supports `--key=value`, `--key value`, and boolean `--flag` forms.
+// The one key/value reader behind every parameter surface: `k=v,...`
+// specs (generator, update stream, fault plan), solver / maintainer /
+// oracle configs, and the command lines of every binary.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace lps {
 
-/// Parse a comma-separated `k1=v1,k2=v2` list into a map; a bare entry
-/// without `=` becomes `key -> "true"` (flag form). Whitespace around
-/// entries is trimmed. Throws std::invalid_argument on empty keys or
-/// duplicate keys.
-std::map<std::string, std::string> parse_kv_list(const std::string& spec);
-
-/// Scalar parsers shared by Options and api::SolverConfig; `key` only
-/// names the offender in the error message.
-std::int64_t parse_int_value(const std::string& key, const std::string& v);
-/// A count (threads, shards, budgets, seeds): an integer in [0, max],
-/// parsed over the full unsigned 64-bit range. Negative or oversized
-/// values throw instead of wrapping when cast to unsigned.
-std::uint64_t parse_count_value(const std::string& key, const std::string& v,
-                                std::uint64_t max);
-double parse_double_value(const std::string& key, const std::string& v);
-bool parse_bool_value(const std::string& key, const std::string& v);
-
-/// kv accessor with required/optional semantics for `family:k=v,...`
-/// spec strings (generator specs, update-stream specs). Tracks which
-/// keys were consumed so check_all_used() can make typos fail loudly;
-/// `context` names the spec kind in error messages ("generator",
-/// "update stream", ...).
-class SpecArgs {
+/// Typed, bounded reads over key/value entries. The reader records every
+/// key it is asked for, so check_all_used() can reject what nothing read
+/// (a typo, an unknown flag, a stray argument). Every rejection is a
+/// std::invalid_argument whose one-line message names the offender.
+class Args {
  public:
-  SpecArgs(std::string context, std::string family, const std::string& kv)
-      : context_(std::move(context)),
-        family_(std::move(family)),
-        values_(parse_kv_list(kv)) {}
+  /// A `k1=v1,k2=v2` spec: entries and keys are trimmed, a bare entry
+  /// `k` reads as `k=true`, and an empty or duplicate key throws.
+  /// `context` prefixes every diagnostic ("generator 'er'").
+  Args(std::string context, const std::string& spec);
+  /// Entries already split into a map (a config).
+  Args(std::string context, std::map<std::string, std::string> entries);
+  /// A command line: `--k=v`, `--k v`, bare `--flag`, and positional
+  /// arguments; a repeated flag throws. A flag followed by a token not
+  /// starting with `--` takes that token as its value, except that
+  /// get_bool leaves a token that is not a boolean literal positional
+  /// (`--check trace.json`). Only get_bool reads a flag given without a
+  /// value. Diagnostics name keys as `--k`.
+  Args(int argc, char** argv);
 
-  std::int64_t require_int(const std::string& key);
-  std::int64_t get_int(const std::string& key, std::int64_t fallback);
-  double get_double(const std::string& key, double fallback);
-  std::string get(const std::string& key, const std::string& fallback);
+  /// Presence test; does not count as a read.
   bool has(const std::string& key) const { return values_.count(key) != 0; }
+  std::string get(const std::string& key, const std::string& fallback) const;
+  /// true/1/yes/on or false/0/no/off.
+  bool get_bool(const std::string& key, bool fallback) const;
+  double get_double(const std::string& key, double fallback) const;
+  /// A decimal integer in [0, max]: a sign, fraction, or larger value
+  /// throws instead of wrapping in the caller's cast.
+  std::uint64_t get_count(const std::string& key, std::uint64_t fallback,
+                          std::uint64_t max) const;
+  /// get_count for a key that must be present.
+  std::uint64_t require_count(const std::string& key,
+                              std::uint64_t max) const;
 
-  /// Every provided key must have been consumed — typos fail loudly.
+  /// The positional arguments in order; asking for them accepts them.
+  std::vector<std::string> positional() const;
+
+  /// Throws naming the first key nothing read, or the first positional
+  /// argument when positional() was never asked for.
   void check_all_used() const;
 
+  const std::map<std::string, std::string>& entries() const noexcept {
+    return values_;
+  }
+
  private:
-  std::string prefix() const { return context_ + " '" + family_ + "'"; }
+  /// Marks `key` read; nullptr when absent.
+  const std::string* find(const std::string& key) const;
+  /// find() for the value readers: a command-line flag given bare has
+  /// no value to read.
+  const std::string* value_of(const std::string& key) const;
+  std::string name(const std::string& key) const;
+  [[noreturn]] void fail(const std::string& message) const;
 
   std::string context_;
-  std::string family_;
+  bool command_line_ = false;
   std::map<std::string, std::string> values_;
-  std::vector<std::string> used_;
+  /// Command lines: each positional token, with the flag that may take
+  /// it as its value ("" = none).
+  std::vector<std::pair<std::string, std::string>> tokens_;
+  mutable std::set<std::string> used_;
+  /// Command-line flags given without a value.
+  std::set<std::string> valueless_;
+  /// Flags get_bool read bare, leaving their token positional.
+  mutable std::set<std::string> bare_flags_;
+  mutable bool positional_read_ = false;
 };
 
-class Options {
- public:
-  Options(int argc, char** argv);
-
-  bool has(const std::string& key) const;
-  std::string get(const std::string& key, const std::string& fallback) const;
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  std::uint64_t get_count(const std::string& key, std::uint64_t fallback,
-                          std::uint64_t max = UINT64_MAX) const;
-  double get_double(const std::string& key, double fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
-
-  /// Positional (non --key) arguments in order.
-  const std::vector<std::string>& positional() const { return positional_; }
-  const std::string& program() const { return program_; }
-
- private:
-  std::string program_;
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
-};
+/// Ends a main's function-try-block: a rejected flag or input becomes
+/// one `program: message` line on stderr and exit code 2.
+int reject_input(const char* program, const std::invalid_argument& e);
 
 }  // namespace lps

@@ -87,6 +87,9 @@ expect_code(2 --check --ledger "${workdir}/missing_fields.jsonl")
 expect_code(2 --check --ledger "${workdir}/does_not_exist.jsonl")
 expect_code(2 --frobnicate)
 expect_code(2 --ledger)
+# Malformed numbers are rejected, not read as 1 and 0.
+expect_code(2 --check --ledger "${workdir}/steady.jsonl" --last abc)
+expect_code(2 --check --ledger "${workdir}/steady.jsonl" --threshold abc)
 
 # An empty ledger is not an error: nothing to compare.
 file(WRITE "${workdir}/empty.jsonl" "")

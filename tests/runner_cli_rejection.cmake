@@ -94,6 +94,9 @@ expect_reject(--generator path:n=8 --solver israeli_itai --config bogus=1)
 expect_reject(--generator path:n=8 --solver israeli_itai --faults nosuchpreset)
 expect_reject(--generator path:n=8 --solver israeli_itai
               --faults bad:drop=1.5)
+# A NaN probability once ran fault-free under exit 0.
+expect_reject(--generator path:n=8 --solver israeli_itai
+              --faults bad:drop=nan)
 expect_reject(--generator path:n=8 --solver israeli_itai
               --faults bad:frobnicate=1)
 expect_reject(--generator path:n=8 --solver israeli_itai
@@ -147,6 +150,26 @@ expect_reject(--generator er:n=64,deg=4,w=uniform,wlo=1,whi=100
               --solver class_mwm --config class_base=1)
 expect_reject(--generator er:n=64,deg=4,w=uniform,wlo=1,whi=100
               --solver class_mwm --config class_base=1.000000000000001)
+
+# Unknown flags are rejected, not ignored: `--thread 4` once ran one
+# thread, `--ledgr off` still wrote the ledger.
+expect_reject(--generator er:n=64,deg=2 --solver israeli_itai --thread 4)
+expect_reject(--generator er:n=64,deg=2 --solver israeli_itai --ledgr off)
+# Spec counts are bounded, not cast: n = 2^32 + 2 once ran with n = 2, and
+# wmax = -1 drew integer weights near 3.5e20.
+expect_reject(--generator path:n=8 --solver greedy_mcm --dynamic greedy
+              --dynamic-stream churn:n=4294967298,updates=10)
+expect_reject(--generator er:n=64,deg=4,w=integer,wmax=-1
+              --solver greedy_mwm)
+# A phase budget past the LCA oracle's int32 phase index (it crashed the
+# paired oracle); the solver holds the same bound.
+expect_reject(--generator er:n=256,deg=4 --solver israeli_itai
+              --config max_phases=2147483648 --lca auto --oracle none)
+# Past ThreadPool::kMaxThreads, rejected before any pool is built.
+set(reject_timeout 1)
+expect_reject(--generator er:n=64,deg=2 --solver israeli_itai
+              --threads 4294967295)
+set(reject_timeout 60)
 
 # And the contract's other half: well-formed specs still run.
 expect_accept(--generator path:n=8 --solver greedy_mcm --oracle none

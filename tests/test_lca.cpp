@@ -230,6 +230,20 @@ TEST(IsraeliItaiOracle, RejectsUnknownConfigKeys) {
                std::invalid_argument);
 }
 
+TEST(IsraeliItaiOracle, RejectsPhaseBudgetsPastInt32) {
+  // The solver shares the bound, so a paired run cannot disagree on it.
+  const Instance inst = api::make_instance("path:n=4", 1);
+  lca::OracleOptions opts;
+  for (const char* budget : {"2147483648", "4294967297", "-1"}) {
+    opts.config["max_phases"] = budget;
+    EXPECT_THROW(lca::IsraeliItaiOracle(inst.graph(), opts),
+                 std::invalid_argument)
+        << budget;
+  }
+  opts.config["max_phases"] = std::to_string(kIsraeliItaiMaxPhases);
+  EXPECT_NO_THROW(lca::IsraeliItaiOracle(inst.graph(), opts));
+}
+
 TEST(IsraeliItaiOracle, PhaseBudgetMatchesTheSolverDefault) {
   // 40 + 12 * ceil(log2(n + 1)) — one definition, exported by core and
   // consumed by the oracle, so solver and simulation cannot diverge.

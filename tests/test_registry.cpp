@@ -229,29 +229,32 @@ TEST(Registry, PipelinedMaxPrimitiveReportsTreeMaximum) {
 TEST(SolverConfigTest, ParseAndTypedAccess) {
   const SolverConfig cfg =
       SolverConfig::parse("k=3,eps=0.25,mode=paper,flag,seed=42");
-  EXPECT_EQ(cfg.get_int("k", 0), 3);
-  EXPECT_DOUBLE_EQ(cfg.get_double("eps", 0.0), 0.25);
-  EXPECT_EQ(cfg.get("mode", ""), "paper");
-  EXPECT_TRUE(cfg.get_bool("flag", false));
+  const Args args = cfg.args();
+  EXPECT_EQ(args.get_count("k", 0, 10), 3u);
+  EXPECT_DOUBLE_EQ(args.get_double("eps", 0.0), 0.25);
+  EXPECT_EQ(args.get("mode", ""), "paper");
+  EXPECT_TRUE(args.get_bool("flag", false));
   EXPECT_EQ(cfg.seed(), 42u);
-  EXPECT_FALSE(cfg.has("seed"));  // routed to the seed field, not the map
-  EXPECT_EQ(cfg.get_int("absent", -1), -1);
+  EXPECT_FALSE(args.has("seed"));  // routed to the seed field, not the map
+  EXPECT_EQ(args.get_count("absent", 7, 10), 7u);
 }
 
 TEST(SolverConfigTest, MalformedSpecsThrow) {
   EXPECT_THROW(SolverConfig::parse("=3"), std::invalid_argument);
   EXPECT_THROW(SolverConfig::parse("k=1,k=2"), std::invalid_argument);
   const SolverConfig cfg = SolverConfig::parse("k=abc");
-  EXPECT_THROW(cfg.get_int("k", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.args().get_count("k", 0, UINT64_MAX),
+               std::invalid_argument);
 }
 
 TEST(SolverConfigTest, CountsAndSeedsRejectWrapping) {
   const SolverConfig cfg = SolverConfig::parse(
       "k=4294967299,cap=-1,big=18446744073709551615");
-  EXPECT_EQ(cfg.get_count("big", 0), UINT64_MAX);
-  EXPECT_EQ(cfg.get_count("absent", 7), 7u);
-  EXPECT_THROW(cfg.get_count("k", 3, 1000), std::invalid_argument);
-  EXPECT_THROW(cfg.get_count("cap", 0), std::invalid_argument);
+  const Args args = cfg.args();
+  EXPECT_EQ(args.get_count("big", 0, UINT64_MAX), UINT64_MAX);
+  EXPECT_EQ(args.get_count("absent", 7, UINT64_MAX), 7u);
+  EXPECT_THROW(args.get_count("k", 3, 1000), std::invalid_argument);
+  EXPECT_THROW(args.get_count("cap", 0, UINT64_MAX), std::invalid_argument);
   EXPECT_EQ(SolverConfig::parse("seed=18446744073709551615").seed(),
             UINT64_MAX);
   EXPECT_THROW(SolverConfig::parse("seed=-1"), std::invalid_argument);
@@ -271,6 +274,8 @@ TEST(SolverConfigTest, OutOfRangeIntegerKeysAreRejected) {
       {"general_mcm", "k=29"},
       {"general_mcm", "max_aug_iterations=-1"},
       {"israeli_itai", "max_phases=-1"},
+      // Past the int32 phase index its LCA oracle shares.
+      {"israeli_itai", "max_phases=2147483648"},
       {"generic_mcm", "max_conflict_nodes=-1"},
       {"pipelined_max", "chunk_bits=4294967304"},
   };

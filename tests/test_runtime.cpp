@@ -8,6 +8,7 @@
 #include <atomic>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 
 #include "core/israeli_itai.hpp"
@@ -70,6 +71,12 @@ TEST(ThreadPool, SingleThreadRunsInline) {
     counter += static_cast<int>(e - b);
   });
   EXPECT_EQ(counter, 10);
+}
+
+TEST(ThreadPool, RejectsCountsPastTheCapBeforeStartingThreads) {
+  // A wrapped -1 would otherwise ask for 2^32 - 2 workers.
+  EXPECT_THROW(ThreadPool(ThreadPool::kMaxThreads + 1), std::invalid_argument);
+  EXPECT_THROW(ThreadPool(4294967295u), std::invalid_argument);
 }
 
 TEST(ThreadPool, EmptyRangeIsNoop) {

@@ -441,25 +441,87 @@ TEST(Table, IncompleteRowThrows) {
 // ------------------------------------------------------------ Options --
 
 TEST(Options, ParsesAllForms) {
-  // Note: a bare `--flag` followed by a non-dashed token would consume
-  // it as the flag's value, so positionals go before valueless flags.
   const char* argv[] = {"prog", "positional", "--alpha=3", "--beta", "7",
                         "--gamma=x y", "--flag"};
-  Options opts(7, const_cast<char**>(argv));
-  EXPECT_EQ(opts.get_int("alpha", 0), 3);
-  EXPECT_EQ(opts.get_int("beta", 0), 7);
-  EXPECT_TRUE(opts.get_bool("flag", false));
-  EXPECT_EQ(opts.get("gamma", ""), "x y");
-  EXPECT_EQ(opts.positional().size(), 1u);
-  EXPECT_EQ(opts.positional()[0], "positional");
-  EXPECT_EQ(opts.get_int("missing", -1), -1);
-  EXPECT_DOUBLE_EQ(opts.get_double("missing", 2.5), 2.5);
+  const Args args(7, const_cast<char**>(argv));
+  EXPECT_EQ(args.get_count("alpha", 0, 10), 3u);
+  EXPECT_EQ(args.get_count("beta", 0, 10), 7u);
+  EXPECT_TRUE(args.get_bool("flag", false));
+  EXPECT_EQ(args.get("gamma", ""), "x y");
+  EXPECT_EQ(args.positional(), std::vector<std::string>{"positional"});
+  EXPECT_EQ(args.get_count("missing", 5, 10), 5u);
+  EXPECT_DOUBLE_EQ(args.get_double("missing", 2.5), 2.5);
+  EXPECT_NO_THROW(args.check_all_used());
 }
 
 TEST(Options, BadBoolThrows) {
   const char* argv[] = {"prog", "--flag=maybe"};
-  Options opts(2, const_cast<char**>(argv));
-  EXPECT_THROW(opts.get_bool("flag", false), std::invalid_argument);
+  const Args args(2, const_cast<char**>(argv));
+  EXPECT_THROW(args.get_bool("flag", false), std::invalid_argument);
+}
+
+TEST(Options, BoolFlagLeavesNonBooleanTokenPositional) {
+  const char* argv[] = {"prog", "--check", "trace.json", "--json", "false"};
+  const Args args(5, const_cast<char**>(argv));
+  EXPECT_TRUE(args.get_bool("check", false));
+  EXPECT_FALSE(args.get_bool("json", true));
+  EXPECT_EQ(args.positional(), std::vector<std::string>{"trace.json"});
+  EXPECT_NO_THROW(args.check_all_used());
+}
+
+TEST(Options, CheckAllUsedNamesWhatNothingRead) {
+  const char* argv[] = {"prog", "--threads", "4", "--thread", "2"};
+  const Args args(5, const_cast<char**>(argv));
+  EXPECT_EQ(args.get_count("threads", 1, 8), 4u);
+  try {
+    args.check_all_used();
+    ADD_FAILURE() << "unknown flag accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag '--thread'");
+  }
+
+  const char* stray[] = {"prog", "--n=3", "extra"};
+  const Args with_stray(3, const_cast<char**>(stray));
+  EXPECT_EQ(with_stray.get_count("n", 0, 8), 3u);
+  EXPECT_THROW(with_stray.check_all_used(), std::invalid_argument);
+
+  const Args spec("generator 'er'", "n=4, typo=1");
+  EXPECT_EQ(spec.require_count("n", 8), 4u);
+  try {
+    spec.check_all_used();
+    ADD_FAILURE() << "unknown key accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "generator 'er': unknown key 'typo'");
+  }
+  // has() is a presence test, not a read.
+  const Args probed("config", "k=3");
+  EXPECT_TRUE(probed.has("k"));
+  EXPECT_THROW(probed.check_all_used(), std::invalid_argument);
+}
+
+TEST(Options, CountsAreBounded) {
+  const Args args("spec",
+                  "max=1024,over=1025,neg=-1,frac=1.5,word=abc,empty=,"
+                  "wrap=18446744073709551616,top=18446744073709551615");
+  EXPECT_EQ(args.get_count("max", 0, 1024), 1024u);
+  EXPECT_EQ(args.get_count("top", 0, UINT64_MAX), UINT64_MAX);
+  for (const char* key : {"over", "neg", "frac", "word", "empty", "wrap"}) {
+    EXPECT_THROW(args.get_count(key, 0, 1024), std::invalid_argument) << key;
+  }
+  EXPECT_THROW(args.require_count("absent", 10), std::invalid_argument);
+}
+
+TEST(Options, MalformedInputsThrow) {
+  EXPECT_THROW(Args("spec", "=3"), std::invalid_argument);
+  EXPECT_THROW(Args("spec", "k=1,k=2"), std::invalid_argument);
+  EXPECT_TRUE(Args("spec", "flag").get_bool("flag", false));
+  const char* repeated[] = {"prog", "--seed", "1", "--seed=2"};
+  EXPECT_THROW(Args(4, const_cast<char**>(repeated)), std::invalid_argument);
+  // A flag given without a value has nothing for a value reader.
+  const char* bare[] = {"prog", "--trace"};
+  const Args args(2, const_cast<char**>(bare));
+  EXPECT_THROW(args.get("trace", ""), std::invalid_argument);
+  EXPECT_THROW(args.get_count("trace", 0, 8), std::invalid_argument);
 }
 
 }  // namespace

@@ -14,9 +14,11 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace lps;
-  const Options opts(argc, argv);
+  const Args args(argc, argv);
+  const bool csv = args.get_bool("csv", false);
+  args.check_all_used();
 
   Table t({"name", "capabilities", "guarantee", "lca oracle", "description"});
   for (const std::string& name : api::SolverRegistry::global().names()) {
@@ -46,11 +48,13 @@ int main(int argc, char** argv) {
     t.cell(s.description());
   }
 
-  if (opts.get_bool("csv", false)) {
+  if (csv) {
     t.print_csv(std::cout);
   } else {
     std::printf("%zu registered solvers:\n\n", t.num_rows());
     t.print_markdown(std::cout);
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return lps::reject_input("list_solvers", e);
 }

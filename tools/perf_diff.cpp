@@ -12,13 +12,12 @@
 // direction each record's own higher_is_better declares. Every
 // comparison is within one ledger, so against runs on the same host.
 //
-// Exit codes (pinned; usable as a CI gate): 0 = no regression, 1 =
-// regression verdict (offending configs named on stderr), 2 = usage /
-// IO / parse error.
+// Exit codes (pinned): 0 = no regression, 1 = regression verdict
+// (offending configs named on stderr), 2 = usage / IO / parse error,
+// an unknown flag or a malformed number among them.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -26,6 +25,7 @@
 
 #include "api/ledger.hpp"
 #include "telemetry/trace_reader.hpp"
+#include "util/options.hpp"
 
 namespace {
 
@@ -130,32 +130,19 @@ int main(int argc, char** argv) {
   std::size_t last_k = 8;
   double threshold_pct = 20.0;
   bool check_only = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "perf_diff: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--ledger") {
-      ledger_path = next("--ledger");
-    } else if (arg == "--last") {
-      last_k = static_cast<std::size_t>(std::strtoul(next("--last"), nullptr,
-                                                     10));
-      if (last_k == 0) last_k = 1;
-    } else if (arg == "--threshold") {
-      threshold_pct = std::strtod(next("--threshold"), nullptr);
-    } else if (arg == "--check") {
-      check_only = true;
-    } else if (arg == "--help" || arg == "-h") {
+  try {
+    const lps::Args args(argc, argv);
+    if (args.get_bool("help", false)) {
       usage();
       return 0;
-    } else {
-      std::fprintf(stderr, "perf_diff: unknown argument '%s'\n", arg.c_str());
-      return 2;
     }
+    ledger_path = args.get("ledger", "");
+    last_k = std::max<std::size_t>(1, args.get_count("last", 8, SIZE_MAX));
+    threshold_pct = args.get_double("threshold", 20.0);
+    check_only = args.get_bool("check", false);
+    args.check_all_used();
+  } catch (const std::invalid_argument& e) {
+    return lps::reject_input("perf_diff", e);
   }
   if (ledger_path.empty()) {
     ledger_path = lps::api::resolve_ledger_path();

@@ -21,12 +21,11 @@
 // informational notes, debug adds a resolved-spec echo.
 //
 // Exit codes: 0 success, 1 runtime failure (trace write, I/O, internal
-// error), 2 rejected input — a malformed or unknown generator / config
-// / stream / fault spec, reported as one `runner: invalid spec:` line
-// on stderr. run_one validates every spec string (generator, solver
-// config, fault plan, dynamic stream, maintainer config) before any
-// solve work, so rejection is fast and uniform across legs. A stall
-// abort (--stall-abort) exits with telemetry::kWatchdogExitCode (86).
+// error), 2 rejected input — an unknown flag, a count out of range, or
+// a malformed generator / config / stream / fault spec — as one
+// `runner: invalid spec:` line on stderr. run_one validates every spec
+// before any solve work, so rejection is fast and uniform across legs.
+// A stall abort (--stall-abort) exits with telemetry::kWatchdogExitCode (86).
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -36,6 +35,7 @@
 #include <string>
 
 #include "api/runner.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/options.hpp"
 
 namespace {
@@ -48,7 +48,7 @@ void usage() {
       "  --config KV          solver config (k1=v1,k2=v2)\n"
       "  --seed N             instance seed (default 1)\n"
       "  --solver-seed N      solver seed (default 1)\n"
-      "  --threads N          1 = inline, 0 = hardware concurrency\n"
+      "  --threads N          1 = inline, 0 = hardware concurrency, <= 1024\n"
       "  --shards N           0 = auto (L2-sized), 1 = single shard\n"
       "  --oracle NAME        auto | none | registry solver\n"
       "  --feed-oracle        pass the exact optimum to the solver\n"
@@ -80,48 +80,46 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const lps::Options opts(argc, argv);
-  if (opts.get_bool("help", false) || argc <= 1) {
-    usage();
-    return argc <= 1 ? 2 : 0;
-  }
-  const std::string log_level = opts.get("log-level", "info");
-  if (log_level != "quiet" && log_level != "info" && log_level != "debug") {
-    std::fprintf(stderr,
-                 "runner: invalid spec: unknown log level '%s' "
-                 "(expected quiet|info|debug)\n",
-                 log_level.c_str());
-    return 2;
-  }
-  const bool quiet = log_level == "quiet";
-  const bool debug = log_level == "debug";
-
-  lps::api::RunSpec spec;
-  spec.generator = opts.get("generator", "");
-  spec.solver = opts.get("solver", "");
-  if (spec.generator.empty() || spec.solver.empty()) {
-    usage();
-    return 2;
-  }
   // Flag values are validated here and spec strings in run_one; either
   // way a malformed input is one diagnostic line and exit 2.
   try {
+    const lps::Args opts(argc, argv);
+    if (opts.get_bool("help", false) || argc <= 1) {
+      usage();
+      return argc <= 1 ? 2 : 0;
+    }
+    const std::string log_level = opts.get("log-level", "info");
+    if (log_level != "quiet" && log_level != "info" && log_level != "debug") {
+      throw std::invalid_argument("unknown log level '" + log_level +
+                                  "' (expected quiet|info|debug)");
+    }
+    const bool quiet = log_level == "quiet";
+    const bool debug = log_level == "debug";
+
+    lps::api::RunSpec spec;
+    spec.generator = opts.get("generator", "");
+    spec.solver = opts.get("solver", "");
+    if (spec.generator.empty() || spec.solver.empty()) {
+      usage();
+      return 2;
+    }
     spec.config = opts.get("config", "");
-    spec.instance_seed = opts.get_count("seed", 1);
-    spec.solver_seed = opts.get_count("solver-seed", 1);
-    spec.threads =
-        static_cast<unsigned>(opts.get_count("threads", 1, kMaxUnsigned));
+    spec.instance_seed = opts.get_count("seed", 1, UINT64_MAX);
+    spec.solver_seed = opts.get_count("solver-seed", 1, UINT64_MAX);
+    spec.threads = static_cast<unsigned>(
+        opts.get_count("threads", 1, lps::ThreadPool::kMaxThreads));
     spec.shards =
         static_cast<unsigned>(opts.get_count("shards", 0, kMaxUnsigned));
     spec.oracle = opts.get("oracle", "auto");
     spec.feed_oracle = opts.get_bool("feed-oracle", false);
     spec.lca = opts.get("lca", "");
-    spec.lca_queries = opts.get_count("lca-queries", 0);
-    spec.lca_cache = opts.get_count("lca-cache", 0);
+    spec.lca_queries = opts.get_count("lca-queries", 0, UINT64_MAX);
+    spec.lca_cache = opts.get_count("lca-cache", 0, UINT64_MAX);
     spec.dynamic = opts.get("dynamic", "");
     spec.dynamic_stream = opts.get("dynamic-stream", "");
     spec.dynamic_config = opts.get("dynamic-config", "");
-    spec.dynamic_checkpoints = opts.get_count("dynamic-checkpoints", 8);
+    spec.dynamic_checkpoints =
+        opts.get_count("dynamic-checkpoints", 8, UINT64_MAX);
     spec.faults = opts.get("faults", "");
     spec.trace = opts.get("trace", "");
     spec.events = opts.get("events", "");
@@ -135,6 +133,8 @@ int main(int argc, char** argv) {
         opts.get_count("stall-timeout-ms", 0, kMaxUnsigned));
     spec.stall_abort = opts.get_bool("stall-abort", false);
     spec.ledger = opts.get("ledger", "");
+    const std::string dir = opts.get("json-dir", "");
+    opts.check_all_used();
 
     if (debug) {
       std::fprintf(stderr,
@@ -154,7 +154,6 @@ int main(int argc, char** argv) {
 
     const lps::api::RunResult result = lps::api::run_one(spec);
     std::cout << result.to_json() << "\n";
-    const std::string dir = opts.get("json-dir", "");
     if (!dir.empty()) {
       const std::string path = lps::api::write_json(result, dir);
       if (!quiet) std::fprintf(stderr, "wrote %s\n", path.c_str());
@@ -184,8 +183,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "runner: watchdog reported a stall (see dump)\n");
     }
   } catch (const std::invalid_argument& e) {
-    // Every malformed flag value or spec string — generator, solver
-    // name/config, fault plan, dynamic stream, maintainer config — lands
+    // Every unknown flag, malformed flag value or spec string lands
     // here before any solve work: one diagnostic line, exit 2.
     std::fprintf(stderr, "runner: invalid spec: %s\n", e.what());
     return 2;

@@ -23,11 +23,13 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "telemetry/event_log.hpp"
 #include "telemetry/trace_reader.hpp"
+#include "util/options.hpp"
 
 namespace {
 
@@ -286,34 +288,28 @@ int events_mode(const std::string& path, bool check_only) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const char* usage =
+      "usage: trace_summary [--check] [--events] <trace.json|log.jsonl>\n";
   bool check_only = false;
   bool events = false;
   std::string path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--check") {
-      check_only = true;
-    } else if (arg == "--events") {
-      events = true;
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: trace_summary [--check] [--events] <trace.json|log.jsonl>\n");
+  try {
+    const lps::Args args(argc, argv);
+    if (args.get_bool("help", false)) {
+      std::printf("%s", usage);
       return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "trace_summary: unknown flag '%s'\n", arg.c_str());
-      return 2;
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      std::fprintf(stderr, "trace_summary: more than one input file\n");
+    }
+    check_only = args.get_bool("check", false);
+    events = args.get_bool("events", false);
+    const std::vector<std::string> inputs = args.positional();
+    args.check_all_used();
+    if (inputs.size() != 1) {  // none, or more than one input file
+      std::fprintf(stderr, "%s", usage);
       return 2;
     }
-  }
-  if (path.empty()) {
-    std::fprintf(
-        stderr,
-        "usage: trace_summary [--check] [--events] <trace.json|log.jsonl>\n");
-    return 2;
+    path = inputs[0];
+  } catch (const std::invalid_argument& e) {
+    return lps::reject_input("trace_summary", e);
   }
   if (events) return events_mode(path, check_only);
   TraceDoc doc;
